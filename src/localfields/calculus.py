@@ -288,15 +288,10 @@ def diff_eval(fn, pt, ctx=None):
     """The iterated difference quotient of a level-0 function at a point.
 
     fn takes a base vector; the recursion runs over the point's levels.
-    Division is by the level scalars only.
+    Division is by the level scalars only.  This is the operator word made
+    of difference steps only.
     """
-    ctx = ctx or context_for(pt)
-    if getattr(pt, "level") == 0:
-        return fn(ctx.base_vec(pt))
-    lower, direction, t = ctx.split(pt)
-    hi = diff_eval(fn, ctx.shift(lower, direction, t), ctx)
-    lo = diff_eval(fn, lower, ctx)
-    return scalar_div(value_sub(hi, lo), t)
+    return _apply_word(fn, (DIFF,) * pt.level, pt, ctx or context_for(pt))
 
 
 # ---------------------------------------------------------------------------
@@ -646,20 +641,13 @@ class OperatorWord:
         return len(self.letters)
 
     def validate(self) -> bool:
-        """Level bookkeeping: each letter raises the argument level by one,
-        so a shift applied after a history of a projections and b difference
-        steps (and c earlier shifts) acts at index a + b + c + 1.  For a
-        projection-free history that index is s + 1 with s = b + c, the
-        nonnegative net depth of the history; a negative depth never
-        occurs."""
-        depth = 0
+        """Every letter must be D, pi or P.  Each letter raises the argument
+        level by one, so the net depth before any letter is its index and
+        can never be negative; only the alphabet needs checking."""
         for letter in self.letters:
             if letter not in (DIFF, PROJ, SHIFT):
                 raise ShapeMismatch(f"unknown operator letter {letter!r}")
-            if letter == SHIFT and depth < 0:
-                raise ShapeMismatch("shift at negative depth")
-            depth += 1
-        return depth == len(self.letters)
+        return True
 
     def shift_indices(self) -> tuple:
         """Concrete level indices of the shift letters (innermost first)."""

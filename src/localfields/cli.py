@@ -7,12 +7,13 @@ Exit codes: 0 all checks pass, 1 a check failed, 2 usage or input error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
 
 from . import calculus, loops, mahler, oneparam, suites, tower
-from .fields import (DEFAULT_PRECISION, LocalFieldElement,
+from .fields import (DEFAULT_PRECISION, FieldError, LocalFieldElement,
                      format_element, laurent, padic)
 from .funcspec import SpecError, parse_poly
 
@@ -155,6 +156,15 @@ class SystemExit2(SystemExit):
         super().__init__(2)
 
 
+@contextlib.contextmanager
+def _bad_input():
+    """Input that does not parse, or names no field, is a usage error."""
+    try:
+        yield
+    except (SpecError, FieldError, ValueError, ZeroDivisionError) as exc:
+        raise SystemExit2(str(exc)) from None
+
+
 # ---------------------------------------------------------------------------
 # command handlers
 # ---------------------------------------------------------------------------
@@ -177,11 +187,9 @@ def cmd_run(ns) -> int:
 
 
 def _field_poly(ns, text, nx=1, desc=None):
-    try:
+    with _bad_input():
         spec = parse_poly(text, nx)
         return spec.to_field_poly(desc or padic(ns.prime), ns.precision)
-    except SpecError as exc:
-        raise SystemExit2(str(exc))
 
 
 def cmd_mahler(ns) -> int:
@@ -204,29 +212,33 @@ def cmd_mahler(ns) -> int:
         print("[" + ",".join(show(c) for c in series.coeffs) + "]")
         return 0
     if ns.action == "evaluate":
-        series = mahler.parse_series(ns.series)
-        x = int(ns.at)
+        with _bad_input():
+            series = mahler.parse_series(ns.series)
+            x = int(ns.at)
         print(format_element(series.evaluate(x)))
         return 0
     if ns.action == "compose":
-        g = mahler.parse_series(ns.outer)
-        f = mahler.parse_series(ns.inner)
-        print(mahler.format_series(mahler.compose(g, f, ns.K)))
+        with _bad_input():
+            g = mahler.parse_series(ns.outer)
+            f = mahler.parse_series(ns.inner)
+        print(repr(mahler.compose(g, f, ns.K)))
         return 0
     if ns.action == "invert":
-        f = mahler.parse_series(ns.series)
+        with _bad_input():
+            f = mahler.parse_series(ns.series)
         try:
             inv = mahler.invert(f, ns.K)
         except mahler.SingularSystem as exc:
             raise SystemExit2(str(exc))
-        print(mahler.format_series(inv))
+        print(repr(inv))
         return 0
     _emit(emit_tables(ns.kind, ns.bound), ns.out)
     return 0
 
 
 def cmd_tower(ns) -> int:
-    desc = padic(ns.prime)
+    with _bad_input():
+        desc = padic(ns.prime)
     if ns.action == "project":
         text = ns.fn or (ns.args[0] if ns.args else "")
         if not text:
@@ -334,7 +346,8 @@ def cmd_calculus(ns) -> int:
 
 def cmd_oneparam(ns) -> int:
     p, u = ns.prime, ns.ext_degree
-    desc = laurent(p, u)
+    with _bad_input():
+        desc = laurent(p, u)
     if ns.action == "ball-group":
         G = oneparam.ball_group(ns.s, ns.sv, p, u)
         print(json.dumps({"order": G.order, "exponent": G.exponent(),

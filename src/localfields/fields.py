@@ -83,11 +83,6 @@ class FieldDescriptor:
             return LocalFieldElement.from_int(self, self.p, precision)
         return LocalFieldElement(self, 1, (1,) + (0,) * (precision - 2), precision - 1)
 
-    def norm_of_valuation(self, v) -> Fraction:
-        if v is INFINITY:
-            return Fraction(0)
-        return Fraction(1, self.p) ** v
-
 
 INFINITY = math.inf
 
@@ -325,53 +320,23 @@ class LocalFieldElement:
         if self.desc.family == PADIC:
             m = (self._mant * other._mant) % self.desc.p ** rel
             return LocalFieldElement(self.desc, v, m, rel)
-        G = self.desc.gf()
-        coeffs = [0] * rel
-        for i, a in enumerate(self._mant):
-            if a and i < rel:
-                for j, b in enumerate(other._mant):
-                    if i + j >= rel:
-                        break
-                    if b:
-                        coeffs[i + j] = G.add(coeffs[i + j], G.mul(a, b))
-        return LocalFieldElement(self.desc, v, tuple(coeffs), rel)
+        coeffs = self.desc.gf().series_mul(self._mant, other._mant, [0] * rel)
+        return LocalFieldElement(self.desc, v, coeffs, rel)
 
     __rmul__ = __mul__
 
     def inv_unit(self) -> "LocalFieldElement":
-        """Inverse of a unit (valuation 0).
+        """Inverse of a unit (valuation 0), modulo pi^rel.
 
-        When |x - 1| < 1 the geometric series 1 + sum (1-x)^l is used; the
-        general unit case is Hensel lifting on the leading digit.
+        Q_p: one modular inversion of the mantissa.  F_q((theta)): back
+        substitution on the series coefficients.
         """
         if self.is_zero() or self._val != 0:
             raise NonUnit(f"inv_unit needs valuation 0, got {self.valuation}")
         rel = self._rel
-        one = LocalFieldElement.one(self.desc, rel)
-        delta = one - self  # 1 - x
-        if delta.is_zero() or delta._val >= 1:
-            # geometric series; (1-x)^l dies past l*val(1-x) >= rel
-            acc = one
-            term = one
-            w = max(delta._val, 1) if not delta.is_zero() else rel
-            for _ in range(rel // w + 1):
-                term = term * delta
-                if term.is_zero():
-                    break
-                acc = acc + term
-            return acc
         if self.desc.family == PADIC:
-            p = self.desc.p
-            mod = p ** rel
-            # Hensel lifting of the digit-0 inverse, doubling digits per step
-            c = pow(self._mant % p, p - 2, p)
-            bits = 1
-            while bits < rel:
-                c = (c * (2 - self._mant * c)) % mod
-                bits *= 2
-            c = (c * (2 - self._mant * c)) % mod
-            return LocalFieldElement(self.desc, 0, c, rel)
-        # laurent: back substitution on series coefficients
+            return LocalFieldElement(self.desc, 0,
+                                     pow(self._mant, -1, self.desc.p ** rel), rel)
         G = self.desc.gf()
         c = self._mant
         inv0 = G.inv(c[0])
@@ -379,7 +344,7 @@ class LocalFieldElement:
         for n in range(1, rel):
             s = 0
             for i in range(1, n + 1):
-                if i < len(c) and c[i]:
+                if c[i]:
                     s = G.add(s, G.mul(c[i], out[n - i]))
             out[n] = G.neg(G.mul(inv0, s))
         return LocalFieldElement(self.desc, 0, tuple(out), rel)
@@ -631,16 +596,7 @@ class ResidueRing:
     def mul(self, a, b):
         if self.desc.family == PADIC:
             return (a * b) % self.cardinality
-        G = self.desc.gf()
-        out = [0] * self.k
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if i + j >= self.k:
-                        break
-                    if y:
-                        out[i + j] = G.add(out[i + j], G.mul(x, y))
-        return tuple(out)
+        return self.desc.gf().series_mul(a, b, [0] * self.k)
 
     def is_unit(self, a) -> bool:
         if self.desc.family == PADIC:

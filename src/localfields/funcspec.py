@@ -70,7 +70,7 @@ class PolySpec:
                         f"coefficient {c} has p in the denominator; it does "
                         f"not exist in characteristic {desc.p}")
                 num = c.numerator % desc.p
-                den = pow(c.denominator % desc.p, desc.p - 2, desc.p)
+                den = pow(c.denominator, -1, desc.p)
                 coeff = LocalFieldElement.from_int(desc, num * den, precision)
             else:
                 coeff = LocalFieldElement.from_fraction(desc, c, precision)

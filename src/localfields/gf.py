@@ -56,10 +56,9 @@ def _poly_mod(a: tuple[int, ...], m: tuple[int, ...], p: int) -> tuple[int, ...]
 def _find_irreducible(p: int, u: int) -> tuple[int, ...]:
     """Smallest monic irreducible polynomial of degree u over F_p.
 
-    Brute force: a monic poly of degree u is irreducible iff it has no root
-    generating a proper subfield; tested by checking gcd-free power maps.
-    For the small u used here, trial division by all monic polys of lower
-    degree is simplest and fast enough.
+    Brute force: a monic polynomial of degree u is irreducible iff no monic
+    polynomial of degree 1..u//2 divides it; for the small u used here this
+    trial division is fast enough.
     """
     if u == 1:
         return (0, 1)  # x, never used
@@ -73,32 +72,9 @@ def _find_irreducible(p: int, u: int) -> tuple[int, ...]:
                 c //= p
             yield tuple(coeffs) + (1,)
 
-    def divides(d, f):
-        # polynomial division remainder test over F_p
-        r = list(f)
-        dd = len(d) - 1
-        inv_lead = pow(d[-1], p - 2, p) if d[-1] != 1 else 1
-        while len(r) - 1 >= dd and any(r):
-            lead = r[-1]
-            if lead:
-                q = (lead * inv_lead) % p
-                shift = len(r) - 1 - dd
-                for i, di in enumerate(d):
-                    r[shift + i] = (r[shift + i] - q * di) % p
-            while len(r) > 1 and r[-1] == 0:
-                r.pop()
-        return not any(r)
-
     for f in all_monic(u):
-        ok = True
-        for deg in range(1, u // 2 + 1):
-            for d in all_monic(deg):
-                if divides(d, f):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        if all(any(_poly_mod(f, d, p))
+               for deg in range(1, u // 2 + 1) for d in all_monic(deg)):
             return f
     raise AssertionError("no irreducible polynomial found")
 
@@ -150,9 +126,6 @@ class GF:
             return (-a) % self.p
         return self._pack((-x) % self.p for x in self._unpack(a))
 
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
     def _mul_slow(self, a: int, b: int) -> int:
         if self.u == 1:
             return (a * b) % self.p
@@ -165,6 +138,21 @@ class GF:
         if self._mul_table is not None:
             return self._mul_table[a][b]
         return self._mul_slow(a, b)
+
+    def series_mul(self, a, b, out, shift: int = 0) -> tuple:
+        """Adds the truncated product of the code series a and b into `out`:
+        a[i] * b[j] lands at slot shift + i + j while that is < len(out)."""
+        width = len(out)
+        for i, x in enumerate(a):
+            if not x:
+                continue
+            for j, y in enumerate(b):
+                slot = shift + i + j
+                if slot >= width:
+                    break
+                if y:
+                    out[slot] = self.add(out[slot], self.mul(x, y))
+        return tuple(out)
 
     def inv(self, a: int) -> int:
         if a == 0:

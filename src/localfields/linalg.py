@@ -7,15 +7,19 @@ refused, so independence is never declared from entries that could be zero.
 
 from __future__ import annotations
 
-from .fields import LocalFieldElement, PrecisionExhausted
+from .fields import PrecisionExhausted
 
 
 class SingularSystem(Exception):
     pass
 
 
-def _val(x: LocalFieldElement):
-    return x.valuation
+def _pivot(m, rows, cols):
+    """(row, col) of the first nonzero entry of least valuation among the
+    given rows and columns, scanning row by row; None when all are zero."""
+    return min(((ri, ci) for ri in rows for ci in cols
+                if not m[ri][ci].is_zero()),
+               key=lambda rc: m[rc[0]][rc[1]].valuation, default=None)
 
 
 def ultrametric_rank(rows, pivot_threshold=None) -> int:
@@ -34,15 +38,8 @@ def ultrametric_rank(rows, pivot_threshold=None) -> int:
     rows_left = list(range(len(m)))
     cols_left = list(range(len(m[0])))
     while rows_left and cols_left:
-        best = None
-        for ri in rows_left:
-            for ci in cols_left:
-                x = m[ri][ci]
-                if x.is_zero():
-                    continue
-                if best is None or _val(x) < _val(m[best[0]][best[1]]):
-                    best = (ri, ci)
-        if best is None or _val(m[best[0]][best[1]]) >= pivot_threshold:
+        best = _pivot(m, rows_left, cols_left)
+        if best is None or m[best[0]][best[1]].valuation >= pivot_threshold:
             break
         pr, pc = best
         pivot = m[pr][pc]
@@ -78,17 +75,10 @@ def solve_linear(matrix, rhs, pivot_threshold=None):
     rows_left = list(range(n))
     cols_left = list(range(n))
     for _ in range(n):
-        best = None
-        for ri in rows_left:
-            for ci in cols_left:
-                x = m[ri][ci]
-                if x.is_zero():
-                    continue
-                if best is None or _val(x) < _val(m[best[0]][best[1]]):
-                    best = (ri, ci)
+        best = _pivot(m, rows_left, cols_left)
         if best is None:
             raise SingularSystem("no nonzero pivot available")
-        if _val(m[best[0]][best[1]]) >= pivot_threshold:
+        if m[best[0]][best[1]].valuation >= pivot_threshold:
             raise SingularSystem(
                 f"best pivot valuation {m[best[0]][best[1]].valuation} is "
                 f"noise-level (threshold {pivot_threshold})")

@@ -54,18 +54,6 @@ def binom_int(x, j: int):
     return num / math.factorial(j)
 
 
-def _int_divisor(desc, n: int, like) -> LocalFieldElement:
-    """n as an element with enough relative precision to divide `like` by it
-    without capping the quotient's budget."""
-    prec = like.precision if like.precision != math.inf else DEFAULT_PRECISION
-    v = 0
-    nn = n
-    while nn % desc.p == 0:
-        nn //= desc.p
-        v += 1
-    return LocalFieldElement.from_int(desc, n, int(prec) + v + 1)
-
-
 def binom_element(x: LocalFieldElement, j: int) -> LocalFieldElement:
     """C(x, j) in the field; divides by j! and spends the matching budget."""
     acc = LocalFieldElement.one(x.desc, x.precision if x.precision != math.inf
@@ -73,7 +61,7 @@ def binom_element(x: LocalFieldElement, j: int) -> LocalFieldElement:
     for i in range(j):
         acc = acc * (x - i)
     if j >= 2:
-        acc = acc.divide(_int_divisor(x.desc, math.factorial(j), acc))
+        acc = acc.divide(math.factorial(j))
     return acc
 
 
@@ -141,8 +129,10 @@ class MahlerSeries:
             (x.precision if x.precision != math.inf else DEFAULT_PRECISION))
         for j, c in enumerate(self.coeffs):
             if j > 0:
+                # size the divisor from `running`, not from the product: for
+                # x of negative valuation the two give different budgets
                 running = (running * (x - (j - 1))).divide(
-                    _int_divisor(self.desc, j, running))
+                    running._coerce_int(j))
             term = c * running
             acc = term if acc is None else acc + term
         return acc if acc is not None else LocalFieldElement.zero(self.desc)
@@ -183,13 +173,20 @@ def parse_series(text: str) -> MahlerSeries:
     return MahlerSeries.from_ints(p, ints, N)
 
 
-def format_series(s: MahlerSeries) -> str:
-    return repr(s)
-
-
 # ---------------------------------------------------------------------------
 # expansion: forward differences at 0
 # ---------------------------------------------------------------------------
+
+def _delta_at_zero(values):
+    """(Delta^k v)(0) = sum_i (-1)^(k-i) C(k, i) v_i from v_0..v_k, summed
+    in the order i = 0..k; the one forward-difference kernel of this module."""
+    k = len(values) - 1
+    acc = None
+    for i, v in enumerate(values):
+        term = v * (math.comb(k, i) if (k - i) % 2 == 0 else -math.comb(k, i))
+        acc = term if acc is None else acc + term
+    return acc
+
 
 def expand(f, J: int, p: int, precision: int = DEFAULT_PRECISION) -> MahlerSeries:
     """Mahler coefficients f_j = (Delta^j f)(0) for j <= J.
@@ -201,15 +198,8 @@ def expand(f, J: int, p: int, precision: int = DEFAULT_PRECISION) -> MahlerSerie
     desc = padic(p)
     fn = _callable_of(f)
     values = [_as_element(desc, fn(i), precision) for i in range(J + 1)]
-    coeffs = []
-    for j in range(J + 1):
-        acc = None
-        for i in range(j + 1):
-            w = math.comb(j, i) if (j - i) % 2 == 0 else -math.comb(j, i)
-            term = values[i] * w
-            acc = term if acc is None else acc + term
-        coeffs.append(acc)
-    return MahlerSeries(desc, coeffs)
+    return MahlerSeries(desc, [_delta_at_zero(values[:j + 1])
+                               for j in range(J + 1)])
 
 
 def _callable_of(f):
@@ -222,11 +212,6 @@ def _callable_of(f):
     raise TypeError(f"cannot evaluate object of type {type(f)}")
 
 
-def forward_difference(values):
-    """One forward-difference step on a list of field elements."""
-    return [values[i + 1] - values[i] for i in range(len(values) - 1)]
-
-
 # ---------------------------------------------------------------------------
 # composition
 # ---------------------------------------------------------------------------
@@ -237,14 +222,10 @@ def delta_binom_at_zero(f: MahlerSeries, n: int, k: int,
 
     Evaluates C(f(j), n) at j = 0..k and takes the alternating sum.
     """
-    desc = f.desc
-    acc = None
-    for j in range(k + 1):
-        val = binom_element(f.evaluate(j), n)
-        w = math.comb(k, j) if (k - j) % 2 == 0 else -math.comb(k, j)
-        term = val * w
-        acc = term if acc is None else acc + term
-    return acc if acc is not None else LocalFieldElement.zero(desc)
+    if k < 0:
+        return LocalFieldElement.zero(f.desc)
+    return _delta_at_zero([binom_element(f.evaluate(j), n)
+                           for j in range(k + 1)])
 
 
 def compose(g: MahlerSeries, f: MahlerSeries, K: int,
@@ -258,19 +239,9 @@ def compose(g: MahlerSeries, f: MahlerSeries, K: int,
     if check_integral and not f.integral():
         raise ValueError("inner series does not map Z_p to Z_p "
                          "(a coefficient has negative valuation)")
-    desc = f.desc
-    values = []
-    for x in range(K + 1):
-        values.append(g.evaluate(f.evaluate(x)))
-    coeffs = []
-    for k in range(K + 1):
-        acc = None
-        for i in range(k + 1):
-            w = math.comb(k, i) if (k - i) % 2 == 0 else -math.comb(k, i)
-            term = values[i] * w
-            acc = term if acc is None else acc + term
-        coeffs.append(acc)
-    return MahlerSeries(desc, coeffs)
+    values = [g.evaluate(f.evaluate(x)) for x in range(K + 1)]
+    return MahlerSeries(f.desc, [_delta_at_zero(values[:k + 1])
+                                 for k in range(K + 1)])
 
 
 def compose_omega(g: MahlerSeries, f: MahlerSeries, K: int) -> MahlerSeries:
@@ -340,7 +311,7 @@ def delta_binom_nested(f: MahlerSeries, n: int, k: int) -> LocalFieldElement:
     if total is None:
         return LocalFieldElement.zero(desc)
     if n >= 2:
-        total = total.divide(_int_divisor(desc, math.factorial(n), total))
+        total = total.divide(math.factorial(n))
     return total
 
 
@@ -535,7 +506,7 @@ def _elementary_symmetric(m: int) -> list:
 
 def delta_power_at_zero(n: int, k: int) -> int:
     """Direct (Delta^k x^n)|_0 by the alternating sum; oracle for T."""
-    return sum((-1) ** (k - j) * math.comb(k, j) * j ** n for j in range(k + 1))
+    return _delta_at_zero([j ** n for j in range(k + 1)])
 
 
 def monomial_to_mahler(coeffs, tables: StirlingTables):
@@ -619,8 +590,12 @@ def invert(f: MahlerSeries, K: int, verify_precision: int | None = None
     if not admissible_for_inversion(f):
         raise SingularSystem("series is not an admissible near-identity map")
     desc = f.desc
-    matrix = [[delta_binom_at_zero(f, n, k) for n in range(K + 1)]
-              for k in range(K + 1)]
+    # entry (k, n) is delta_binom_at_zero(f, n, k), built from f(0..K) and
+    # C(f(j), n) computed once each
+    binoms = [[binom_element(y, n) for n in range(K + 1)]
+              for y in (f.evaluate(j) for j in range(K + 1))]
+    matrix = [[_delta_at_zero([binoms[j][n] for j in range(k + 1)])
+               for n in range(K + 1)] for k in range(K + 1)]
     one = LocalFieldElement.one(desc)
     zero = LocalFieldElement.zero(desc)
     rhs = [one if k == 1 else zero for k in range(K + 1)]

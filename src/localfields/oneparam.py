@@ -78,33 +78,14 @@ class MultiplicativeBallGroup:
         return itertools.product(range(G.q), repeat=self.width)
 
     def mul(self, a, b):
-        """(1 + A)(1 + B) = 1 + A + B + AB mod theta^{s_v}."""
+        """(1 + A)(1 + B) = 1 + A + B + AB mod theta^{s_v}; AB contributes
+        at theta^(2s + i + j), i.e. slot s + i + j."""
         G = self.desc.gf()
-        w = self.width
-        out = [G.add(x, y) for x, y in zip(a, b)]
-        for i, x in enumerate(a):
-            if not x:
-                continue
-            for j, y in enumerate(b):
-                # A B contributes at theta^(2s + i + j) = slot s + i + j
-                slot = self.s + i + j
-                if slot >= w:
-                    break
-                if y:
-                    out[slot] = G.add(out[slot], G.mul(x, y))
-        return tuple(out)
+        return G.series_mul(a, b, [G.add(x, y) for x, y in zip(a, b)], self.s)
 
     def inverse(self, a):
-        acc = self.identity()
-        cur = a
         # |G| is a p-power, so a^(order-1) inverts a
-        e = self.order - 1
-        while e:
-            if e & 1:
-                acc = self.mul(acc, cur)
-            cur = self.mul(cur, cur)
-            e >>= 1
-        return acc
+        return self.power(a, self.order - 1)
 
     def power(self, a, e: int):
         acc = self.identity()

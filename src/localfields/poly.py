@@ -49,9 +49,6 @@ class MultiPoly:
         """coeffs[i] is the coefficient of x^i."""
         return cls(1, {(i,): c for i, c in enumerate(coeffs)})
 
-    def copy(self) -> "MultiPoly":
-        return MultiPoly(self.nvars, dict(self.terms))
-
     # -- ring operations ------------------------------------------------------
 
     def _check(self, other):
@@ -143,10 +140,6 @@ class MultiPoly:
 
     def degree_in(self, i: int) -> int:
         return max((e[i] for e in self.terms), default=0)
-
-    def truncate_degree(self, bound: int) -> "MultiPoly":
-        return MultiPoly(self.nvars,
-                         {e: c for e, c in self.terms.items() if sum(e) <= bound})
 
     # -- substitution and evaluation ------------------------------------------
 

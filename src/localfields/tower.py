@@ -204,9 +204,6 @@ class DiffRepr:
                 return False
         return True
 
-    def maps_domain(self, samples) -> bool:
-        return all(self.domain.contains(self.evaluate(x)) for x in samples)
-
 
 # ---------------------------------------------------------------------------
 # level permutations
@@ -583,12 +580,7 @@ def commutator_decompose_even(perm: LevelPermutation):
         x = _transposition(perm, (a, b))
         y = _transposition(perm, (a, c))
         pairs.append((x, y))
-    # verification by multiplication
-    product = LevelPermutation.identity(perm.level, perm.elements)
-    for x, y in pairs:
-        comm = x.inverse().compose(y.inverse()).compose(x).compose(y)
-        product = product.compose(comm)
-    if product.images != perm.images:
+    if product_of_commutators(pairs, perm).images != perm.images:
         raise TowerError("commutator product does not reproduce the input")
     return pairs
 
@@ -668,10 +660,6 @@ def _check_square(desc, hi: LevelPermutation, lo: LevelPermutation):
             raise Incompatible(
                 f"element {e}: project(sigma_{l}) = {down} but "
                 f"sigma_{k}(project) = {lo_map[e_down]}")
-
-
-def thread_check(thread: PermThread) -> bool:
-    return thread.check_compatible()
 
 
 def conjugation_thread(h: PermThread, g: DiffRepr, K: int,

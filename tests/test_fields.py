@@ -122,6 +122,28 @@ class TestArithmetic:
         assert (x.inv_unit() * x).same(1)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([padic(2), padic(3), padic(5), L2, L3, laurent(2, 2),
+                        L9]),
+       st.integers(1, 40), st.data())
+def test_inv_unit_inverts_at_full_precision(desc, rel, data):
+    """Units with leading digit 1 (inside 1 + pi O) and with any nonzero
+    leading digit (outside it, where the residue field allows)."""
+    q = desc.residue_size
+    lead = data.draw(st.one_of(st.just(1), st.integers(1, q - 1)))
+    rest = data.draw(st.lists(st.integers(0, q - 1), min_size=rel - 1,
+                              max_size=rel - 1))
+    digits = (lead, *rest)
+    if desc.family == "padic":
+        value = sum(d * desc.p ** i for i, d in enumerate(digits))
+        x = LocalFieldElement.from_int(desc, value, rel)
+    else:
+        x = LocalFieldElement.from_laurent_coeffs(desc, 0, digits, rel)
+    inv = x.inv_unit()
+    assert inv.precision == x.precision == rel
+    assert (x * inv).same(1)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(-10 ** 6, 10 ** 6), st.integers(-10 ** 6, 10 ** 6),
        st.sampled_from([2, 3, 5]))

@@ -8,12 +8,12 @@ from fractions import Fraction
 import pytest
 
 from localfields.fields import LocalFieldElement, padic
-from localfields.linalg import SingularSystem
+from localfields.linalg import SingularSystem, solve_linear
 from localfields.mahler import (MahlerSeries, analytic_compose,
                                 admissible_for_inversion, binom_element,
                                 compose, compose_omega, delta_binom_at_zero,
                                 delta_binom_nested, delta_power_at_zero,
-                                expand, format_series, invert,
+                                expand, invert,
                                 mahler_polynomial, mahler_to_monomial,
                                 monomial_to_mahler, omega,
                                 omega_free_double_sum,
@@ -77,7 +77,7 @@ class TestEvaluate:
     def test_literal_roundtrip(self):
         s = parse_series("p=3 N=16 coeffs=[0,1,2]")
         assert s.p == 3 and s.truncation == 2
-        assert parse_series(format_series(s)).same(s)
+        assert parse_series(repr(s)).same(s)
 
 
 class TestCompose:
@@ -240,6 +240,17 @@ class TestInvert:
         rt = compose(inv, f, 6)
         assert rt.same(MahlerSeries.from_ints(3, [0, 1], 40), precision=4)
         assert rt.same(MahlerSeries.from_ints(3, [0, 1], 40), precision=20)
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_matches_delta_binom_system(self, p):
+        f = MahlerSeries.from_ints(p, [0, 1 + p, p, p * p, 2 * p], 40)
+        K = 6
+        desc = f.desc
+        matrix = [[delta_binom_at_zero(f, n, k) for n in range(K + 1)]
+                  for k in range(K + 1)]
+        one, zero = LocalFieldElement.one(desc), LocalFieldElement.zero(desc)
+        rhs = [one if k == 1 else zero for k in range(K + 1)]
+        assert invert(f, K).coeffs == solve_linear(matrix, rhs)
 
     def test_precondition(self):
         bad = MahlerSeries.from_ints(3, [0, 2, 3], 40)  # |f1 - 1| = 1
