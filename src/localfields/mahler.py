@@ -60,7 +60,7 @@ def binom_element(x: LocalFieldElement, j: int) -> LocalFieldElement:
                                 else DEFAULT_PRECISION)
     for i in range(j):
         acc = acc * (x - i)
-    if j >= 2:
+    if j >= 2 and not acc.is_exact_zero:
         acc = acc.divide(math.factorial(j))
     return acc
 
@@ -310,7 +310,7 @@ def delta_binom_nested(f: MahlerSeries, n: int, k: int) -> LocalFieldElement:
         total = term if total is None else total + term
     if total is None:
         return LocalFieldElement.zero(desc)
-    if n >= 2:
+    if n >= 2 and not total.is_exact_zero:
         total = total.divide(math.factorial(n))
     return total
 

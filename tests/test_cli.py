@@ -3,14 +3,9 @@
 from __future__ import annotations
 
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-import localfields
 from localfields.cli import main
 
 
@@ -21,16 +16,6 @@ def run_cli(capsys, *argv):
         code = exc.code
     out = capsys.readouterr()
     return code, out.out, out.err
-
-
-def run_cli_process(*argv):
-    """The CLI in a fresh interpreter, so that a traceback reaches stderr."""
-    env = dict(os.environ,
-               PYTHONPATH=str(Path(localfields.__file__).resolve().parents[1]))
-    proc = subprocess.run([sys.executable, "-m", "localfields.cli", *argv],
-                          capture_output=True, text=True, env=env,
-                          timeout=120)
-    return proc.returncode, proc.stdout, proc.stderr
 
 
 class TestCompute:
@@ -251,8 +236,8 @@ class TestUsageErrors:
          "--at", "abc"),
     ], ids=["composite-prime", "zero-denominator", "zero-precision",
             "bad-point"])
-    def test_bad_input_is_one_line_error(self, argv):
-        code, out, err = run_cli_process(*argv)
+    def test_bad_input_is_one_line_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert "Traceback" not in err
         assert err.startswith("error: ") and err.count("\n") == 1

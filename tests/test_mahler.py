@@ -338,6 +338,17 @@ def test_binom_element_budget():
     assert c.same(5, precision=16)
 
 
+def test_exact_zero_binomials_skip_the_factorial():
+    # v_2(34!) = 32 exceeds the default precision of an integer coerced
+    # against an exact zero, so dividing would hit an apparent-zero divisor
+    z = binom_element(LocalFieldElement.zero(D2), 34)
+    assert z.is_exact_zero
+    f = MahlerSeries(D2, [LocalFieldElement.zero(D2),
+                          LocalFieldElement.one(D2, 64)])
+    assert delta_binom_nested(f, 34, 0).is_exact_zero
+    assert delta_binom_at_zero(f, 34, 0).is_exact_zero
+
+
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
