@@ -157,11 +157,13 @@ class SystemExit2(SystemExit):
 
 
 @contextlib.contextmanager
-def _bad_input():
-    """Input that does not parse, or names no field, is a usage error."""
+def _bad_input(*errors):
+    """Input that does not parse, or names no field, is a usage error; so
+    are the given errors of the command."""
     try:
         yield
-    except (SpecError, FieldError, ValueError, ZeroDivisionError) as exc:
+    except (SpecError, FieldError, ValueError, ZeroDivisionError,
+            *errors) as exc:
         raise SystemExit2(str(exc)) from None
 
 
@@ -246,10 +248,8 @@ def cmd_tower(ns) -> int:
         domain = tower.Domain.units(desc) if ns.units else None
         g = tower.DiffRepr.from_poly(desc, _field_poly(ns, text), domain,
                                      None, text)
-        try:
+        with _bad_input(tower.TowerError):
             perm = tower.level_project(g, ns.k, precision=ns.precision)
-        except tower.TowerError as exc:
-            raise SystemExit2(str(exc))
         print(perm.cycle_notation() if ns.format == "cycles"
               else perm.one_line())
         return 0
@@ -258,29 +258,26 @@ def cmd_tower(ns) -> int:
             raise SystemExit2("check needs --fn and --gn")
         f = tower.DiffRepr.from_poly(desc, _field_poly(ns, ns.fn))
         g = tower.DiffRepr.from_poly(desc, _field_poly(ns, ns.gn))
-        rep = tower.functoriality_check(f, g, ns.k, precision=ns.precision)
+        with _bad_input():
+            rep = tower.functoriality_check(f, g, ns.k, precision=ns.precision)
         ok = rep["composition_ok"] and rep["inverse_ok"]
         print(json.dumps({"level": ns.k, "composition_ok":
                           rep["composition_ok"],
                           "inverse_ok": rep["inverse_ok"]}))
         return 0 if ok else 1
     if ns.action == "witness":
-        try:
+        with _bad_input(tower.ConstraintViolated):
             f, rec = tower.witness_flat_polynomial(ns.prime, ns.k,
                                                    precision=ns.precision)
-        except tower.ConstraintViolated as exc:
-            raise SystemExit2(str(exc))
         print(json.dumps(rec))
         return 0
     if ns.action == "commutators":
         if not ns.perm:
             raise SystemExit2("commutators needs --perm 'i0 i1 ...'")
-        images = tuple(int(t) for t in ns.perm.split())
-        perm = tower.LevelPermutation(1, tuple(range(len(images))), images)
-        try:
+        with _bad_input(tower.TowerError):
+            images = tuple(int(t) for t in ns.perm.split())
+            perm = tower.LevelPermutation(1, tuple(range(len(images))), images)
             pairs = tower.commutator_decompose_even(perm)
-        except tower.TowerError as exc:
-            raise SystemExit2(str(exc))
         for a, b in pairs:
             print(a.cycle_notation(), "|", b.cycle_notation())
         ok = tower.product_of_commutators(pairs, perm).images == perm.images
@@ -290,14 +287,13 @@ def cmd_tower(ns) -> int:
     text = ns.fn or (ns.args[0] if ns.args else "")
     if not text:
         raise SystemExit2("thread needs a function spec")
-    levels = [int(t) for t in ns.levels.split(",")]
+    with _bad_input():
+        levels = [int(t) for t in ns.levels.split(",")]
     g = tower.DiffRepr.from_poly(desc, _field_poly(ns, text))
-    try:
+    with _bad_input(tower.TowerError):
         thread = tower.PermThread.from_diff(g, levels,
                                             precision=ns.precision)
         thread.check_compatible()
-    except tower.TowerError as exc:
-        raise SystemExit2(str(exc))
     for k in sorted(thread.levels):
         print(thread.levels[k].one_line())
     print(f"# parity profile: {thread.parity_profile()}")
@@ -318,7 +314,8 @@ def cmd_calculus(ns) -> int:
     kv = dict(tok.partition("=")[::2] for tok in ns.args if "=" in tok)
     op = {"leibniz": "leibniz", "multi": "leibniz_multi",
           "chain": "chain"}[ns.action]
-    n = int(kv.get("n", "1"))
+    with _bad_input():
+        n = int(kv.get("n", "1"))
     defaults = {
         "n": str(n),
         "p": kv.get("p", str(ns.prime)),
@@ -349,12 +346,14 @@ def cmd_oneparam(ns) -> int:
     with _bad_input():
         desc = laurent(p, u)
     if ns.action == "ball-group":
-        G = oneparam.ball_group(ns.s, ns.sv, p, u)
+        with _bad_input(oneparam.OneParamError):
+            G = oneparam.ball_group(ns.s, ns.sv, p, u)
         print(json.dumps({"order": G.order, "exponent": G.exponent(),
                           "width": G.width}))
         return 0
     if ns.action == "eta":
-        G = oneparam.ball_group(ns.s, ns.sv, p, u)
+        with _bad_input(oneparam.OneParamError):
+            G = oneparam.ball_group(ns.s, ns.sv, p, u)
         x0 = (1,) + (0,) * (G.width - 1)
         size = max(ns.cycle + 2, 6)
         elements = tuple(range(size))

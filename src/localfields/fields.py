@@ -243,7 +243,8 @@ class LocalFieldElement:
     # -- arithmetic --------------------------------------------------------
 
     def _check(self, other):
-        if not isinstance(other, LocalFieldElement) or other.desc != self.desc:
+        if (not isinstance(other, LocalFieldElement)
+                or other.desc is not self.desc and other.desc != self.desc):
             raise DescriptorMismatch(f"operand descriptors differ: {self.desc} vs "
                                      f"{getattr(other, 'desc', type(other))}")
 

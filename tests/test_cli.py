@@ -234,8 +234,14 @@ class TestUsageErrors:
         ("-N", "0", "tower", "project", "x+3"),
         ("mahler", "evaluate", "--series", "p=3 N=8 coeffs=[0,1]",
          "--at", "abc"),
+        ("tower", "project", "x", "-k", "0"),
+        ("tower", "thread", "x", "--levels", "a"),
+        ("tower", "commutators", "--perm", "a b"),
+        ("calculus", "leibniz", "n=abc"),
+        ("oneparam", "ball-group", "-s", "0"),
     ], ids=["composite-prime", "zero-denominator", "zero-precision",
-            "bad-point"])
+            "bad-point", "zero-level", "bad-levels", "bad-perm",
+            "bad-order", "zero-ball-radius"])
     def test_bad_input_is_one_line_error(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2

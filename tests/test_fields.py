@@ -124,7 +124,7 @@ class TestArithmetic:
 
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from([padic(2), padic(3), padic(5), L2, L3, laurent(2, 2),
-                        L9]),
+                        L9, laurent(5, 2), laurent(2, 7)]),
        st.integers(1, 40), st.data())
 def test_inv_unit_inverts_at_full_precision(desc, rel, data):
     """Units with leading digit 1 (inside 1 + pi O) and with any nonzero
