@@ -27,25 +27,34 @@ def _env_default(name: str, fallback):
     return type(fallback)(raw)
 
 
+def _add_global_options(ap, default):
+    ap.add_argument("--prime", "-p", type=int, default=default("prime", 3))
+    ap.add_argument("--ext-degree", "-u", type=int,
+                    default=default("ext_degree", 1))
+    ap.add_argument("--precision", "-N", type=int,
+                    default=default("precision", DEFAULT_PRECISION))
+    ap.add_argument("--seed", type=int, default=default("seed", 0))
+    ap.add_argument("--out", default=default("out", ""))
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="localfields",
         description="exact ultrametric calculus: suites and computations")
-    ap.add_argument("--prime", "-p", type=int,
-                    default=_env_default("prime", 3))
-    ap.add_argument("--ext-degree", "-u", type=int,
-                    default=_env_default("ext_degree", 1))
-    ap.add_argument("--precision", "-N", type=int,
-                    default=_env_default("precision", DEFAULT_PRECISION))
-    ap.add_argument("--seed", type=int, default=_env_default("seed", 0))
-    ap.add_argument("--out", default=_env_default("out", ""))
+    _add_global_options(ap, _env_default)
+    # the global options also parse after the subcommand; suppressed
+    # defaults keep the values set before it
+    after = argparse.ArgumentParser(add_help=False)
+    _add_global_options(after, lambda name, fallback: argparse.SUPPRESS)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="run verification suites")
+    run = sub.add_parser("run", parents=[after],
+                         help="run verification suites")
     run.add_argument("--suite", default=_env_default("suite", "all"),
                      help="suite name, comma list, 'all' or 'none'")
 
-    mp = sub.add_parser("mahler", help="Mahler-basis computations")
+    mp = sub.add_parser("mahler", parents=[after],
+                        help="Mahler-basis computations")
     mp.add_argument("action", choices=["expand", "evaluate", "compose",
                                        "invert", "tables"])
     mp.add_argument("args", nargs="*")
@@ -59,7 +68,8 @@ def build_parser() -> argparse.ArgumentParser:
     mp.add_argument("--kind", choices=["S", "T", "Omega"], default="T")
     mp.add_argument("--bound", type=int, default=8)
 
-    tw = sub.add_parser("tower", help="residue tower computations")
+    tw = sub.add_parser("tower", parents=[after],
+                        help="residue tower computations")
     tw.add_argument("action", choices=["project", "check", "witness",
                                        "commutators", "thread"])
     tw.add_argument("args", nargs="*")
@@ -74,12 +84,14 @@ def build_parser() -> argparse.ArgumentParser:
     tw.add_argument("--units", action="store_true",
                     help="restrict the domain to |x| = 1")
 
-    ca = sub.add_parser("calculus", help="difference-quotient checks")
+    ca = sub.add_parser("calculus", parents=[after],
+                        help="difference-quotient checks")
     ca.add_argument("action", choices=["leibniz", "multi", "chain", "check"])
     ca.add_argument("args", nargs="*", help="key=value fixture fields")
     ca.add_argument("--fixtures", default="")
 
-    op = sub.add_parser("oneparam", help="one-parameter subgroup checks")
+    op = sub.add_parser("oneparam", parents=[after],
+                        help="one-parameter subgroup checks")
     op.add_argument("action", choices=["ball-group", "eta", "lift",
                                        "obstruction", "condition-i"])
     op.add_argument("args", nargs="*")
@@ -92,7 +104,8 @@ def build_parser() -> argparse.ArgumentParser:
     op.add_argument("--exp", type=int, default=2,
                     help="monomial degree for the obstruction map")
 
-    lp = sub.add_parser("loop", help="loop monoid computations")
+    lp = sub.add_parser("loop", parents=[after],
+                        help="loop monoid computations")
     lp.add_argument("action", choices=["classes", "wedge", "group", "thread"])
     lp.add_argument("args", nargs="*")
     lp.add_argument("--m-size", type=int, default=4)
@@ -101,7 +114,8 @@ def build_parser() -> argparse.ArgumentParser:
     lp.add_argument("--b", default="")
     lp.add_argument("--file", default="")
 
-    tb = sub.add_parser("tables", help="emit S/T/Omega tables as CSV")
+    tb = sub.add_parser("tables", parents=[after],
+                        help="emit S/T/Omega tables as CSV")
     tb.add_argument("--kind", choices=["S", "T", "Omega"], required=True)
     tb.add_argument("--bound", type=int, default=8)
 
@@ -258,7 +272,7 @@ def cmd_tower(ns) -> int:
             raise SystemExit2("check needs --fn and --gn")
         f = tower.DiffRepr.from_poly(desc, _field_poly(ns, ns.fn))
         g = tower.DiffRepr.from_poly(desc, _field_poly(ns, ns.gn))
-        with _bad_input():
+        with _bad_input(tower.TowerError):
             rep = tower.functoriality_check(f, g, ns.k, precision=ns.precision)
         ok = rep["composition_ok"] and rep["inverse_ok"]
         print(json.dumps({"level": ns.k, "composition_ok":
@@ -376,8 +390,10 @@ def cmd_oneparam(ns) -> int:
         x0f = one + desc.uniformizer(ns.precision)
         g = tower.DiffRepr.from_poly(
             desc, _field_poly(ns, text, 1, desc), None, 1, text)
-        for s_v in (int(t) for t in ns.levels.split(",")):
-            G = oneparam.ball_group(ns.s, s_v, p, u)
+        with _bad_input(oneparam.OneParamError):
+            groups = [(s_v, oneparam.ball_group(ns.s, s_v, p, u))
+                      for s_v in (int(t) for t in ns.levels.split(","))]
+        for s_v, G in groups:
             sigma = tower.level_project(g, s_v, precision=ns.precision)
             levels.append(oneparam.eta_construct(sigma, G.from_field(x0f), G))
         try:

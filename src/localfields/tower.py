@@ -10,10 +10,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 
 from .calculus import FnRepr, cnb_norm
 from .fields import (DEFAULT_PRECISION, FieldDescriptor, LocalFieldElement,
-                     PADIC, ResidueRing, carmichael_exponent, project_down)
+                     PADIC, ResidueRing, carmichael_exponent, format_element,
+                     project_down)
 from .poly import MultiPoly
 
 
@@ -178,20 +180,21 @@ class DiffRepr:
                         other.domain, None,
                         f"({self.name or 'f'} o {other.name or 'g'})")
 
-    def inverse(self, iterations: int | None = None) -> "DiffRepr":
-        """Fixed-point inversion: x = y - h(x) with h = g - id, valid in the
-        contraction regime ||g - id|| <= |pi|."""
+    def inverse(self) -> "DiffRepr":
+        """g^-1, solving g(x) = y from x = y.
 
-        def inv(y, g=self, iterations=iterations):
-            iters = iterations
-            if iters is None:
-                iters = (int(y.precision) + 2
-                         if y.precision != float("inf") else DEFAULT_PRECISION)
-            x = y
-            for _ in range(iters):
-                x = y - (g.evaluate(x) - x)
-            return x
-
+        A polynomial backing is inverted by Newton's iteration, valid where
+        g'(x) is a unit; Mahler and opaque backings, which have no
+        derivative, by the fixed point x = y - h(x) with h = g - id, valid
+        in the contraction regime ||g - id|| <= |pi|.
+        """
+        if isinstance(self.backing, MultiPoly):
+            g = self.backing
+            dg = MultiPoly(1, {(e - 1,): c * e
+                               for (e,), c in g.terms.items() if e})
+            inv = partial(_newton_solve, g, dg)
+        else:
+            inv = partial(_fixed_point_solve, self)
         return DiffRepr(self.desc, inv, self.domain, self.bound_s,
                         f"{self.name or 'g'}^-1")
 
@@ -203,6 +206,44 @@ class DiffRepr:
             if lhs != rhs:
                 return False
         return True
+
+
+def _newton_solve(g: MultiPoly, dg: MultiPoly, y: LocalFieldElement):
+    """The x with g(x) = y by x <- x - (g(x) - y)/g'(x), where dg = g'.
+
+    While g'(x) is a unit and |g(x) - y| < 1 (as near the identity), the
+    valuation of the residual g(x) - y at least doubles per step, so with
+    N the precision of g(y) - y the iterate is stationary (same digits and
+    precision) within bit_length(N) + 2 steps.  Reaching that step count,
+    or a g'(x) that is not a unit, raises NotWellDefined.
+    """
+    x = y
+    residual = g.eval_cached([x]) - y
+    if residual.is_exact_zero:
+        return x
+    steps = residual.precision.bit_length() + 2
+    for _ in range(steps):
+        slope = dg.eval_cached([x])
+        if slope.is_zero() or slope.valuation != 0:
+            raise NotWellDefined(f"g'(x) is not a unit at x = "
+                                 f"{format_element(x)}")
+        x_next = x - residual.divide(slope)
+        if x_next == x:
+            return x
+        x = x_next
+        residual = g.eval_cached([x]) - y
+    raise NotWellDefined(f"Newton inversion at y = {format_element(y)} "
+                         f"did not converge in {steps} steps")
+
+
+def _fixed_point_solve(g: DiffRepr, y: LocalFieldElement):
+    """The x with g(x) = y by x <- y - (g(x) - x), precision + 2 steps."""
+    iters = (int(y.precision) + 2
+             if y.precision != float("inf") else DEFAULT_PRECISION)
+    x = y
+    for _ in range(iters):
+        x = y - (g.evaluate(x) - x)
+    return x
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
-from localfields.cli import main
+from localfields.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -207,6 +210,12 @@ class TestRun:
         lines = path.read_text().strip().splitlines()
         assert json.loads(lines[-1])["summary"]["failed"] == 0
 
+    def test_global_options_after_subcommand(self, capsys):
+        code, out, _ = run_cli(capsys, "-p", "3", "tower", "project", "x+1",
+                               "-k", "1", "-p", "5")
+        assert code == 0
+        assert out.strip() == "(0 1 2 3 4)"
+
     def test_env_override(self, capsys, monkeypatch):
         monkeypatch.setenv("LOCALFIELDS_PRIME", "5")
         code, out, _ = run_cli(capsys, "tower", "project", "x+1", "-k", "1")
@@ -239,12 +248,34 @@ class TestUsageErrors:
         ("tower", "commutators", "--perm", "a b"),
         ("calculus", "leibniz", "n=abc"),
         ("oneparam", "ball-group", "-s", "0"),
+        ("-p", "3", "tower", "check", "--fn", "x^3", "--gn", "x^3", "-k", "1"),
+        ("-p", "3", "tower", "check", "--fn", "x^3", "--gn", "x^3", "-k", "2"),
+        ("oneparam", "lift", "-s", "0"),
+        ("oneparam", "lift", "--levels", "0"),
+        ("oneparam", "lift", "--levels", "a"),
     ], ids=["composite-prime", "zero-denominator", "zero-precision",
             "bad-point", "zero-level", "bad-levels", "bad-perm",
-            "bad-order", "zero-ball-radius"])
+            "bad-order", "zero-ball-radius", "critical-inverse",
+            "non-bijective-check", "lift-zero-radius", "lift-zero-level",
+            "lift-bad-levels"])
     def test_bad_input_is_one_line_error(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert "Traceback" not in err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert out == ""
+
+
+def readme_cli_examples():
+    """The arguments of every `localfields ...` line in README's code blocks
+    under "## CLI"."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    return [shlex.split(line, comments=True)[1:]
+            for block in re.findall(r"```sh\n(.*?)```", section, re.S)
+            for line in block.splitlines() if line.startswith("localfields ")]
+
+
+@pytest.mark.parametrize("argv", readme_cli_examples(), ids=shlex.join)
+def test_readme_example_parses(argv):
+    build_parser().parse_args(argv)

@@ -7,8 +7,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from localfields.fields import LocalFieldElement, laurent, padic
+from localfields.fields import (LAURENT, LocalFieldElement, ResidueRing,
+                                laurent, padic)
 from localfields.poly import MultiPoly
 from localfields.tower import (Ball, BallNotPreserved, ConstraintViolated,
                                DiffRepr, Domain, Incompatible,
@@ -125,6 +128,84 @@ class TestFunctoriality:
                 for k in (1, 2, 3):
                     rep = functoriality_check(f, g, k)
                     assert rep["composition_ok"] and rep["inverse_ok"]
+
+
+def fixed_point_inverse(g, y, iterations):
+    """The linear fixed point x <- y - (g(x) - x), the polynomial inverse
+    that Newton's iteration replaced: one digit per step where
+    ||g - id|| <= |pi|, and it never checks that it has converged."""
+    x = y
+    for _ in range(iterations):
+        x = y - (g(x) - x)
+    return x
+
+
+INVERSE_FIELDS = [padic(2), padic(3), padic(5), laurent(2), laurent(2, 2),
+                  laurent(3, 2)]
+
+
+@st.composite
+def near_identity_and_point(draw):
+    """(g, y, N): g = x + sum_{d <= 5} c_d x^d with c_d in pi*O known mod
+    pi^N, and y a representative of a level-1 or level-2 class (the zero
+    class included) known mod pi^N, or an exact zero."""
+    desc = draw(st.sampled_from(INVERSE_FIELDS))
+    N = draw(st.integers(4, 64))
+    q = desc.residue_size
+
+    def small():
+        digits = draw(st.lists(st.integers(0, q - 1), max_size=N - 1))
+        if desc.family == LAURENT:
+            return LocalFieldElement.from_laurent_coeffs(desc, 1, digits, N)
+        return LocalFieldElement.from_int(
+            desc, desc.p * sum(d * q ** i for i, d in enumerate(digits)), N)
+
+    terms = {(d,): small() for d in draw(st.sets(st.integers(0, 5)))}
+    terms[(1,)] = LocalFieldElement.one(desc, N) + terms.get(
+        (1,), LocalFieldElement.zero(desc))
+    g = DiffRepr.from_poly(desc, MultiPoly(1, terms))
+    if draw(st.integers(0, 7)) == 0:
+        return g, LocalFieldElement.zero(desc), N
+    ring = ResidueRing(desc, draw(st.integers(1, 2)))
+    code = list(ring.elements())[draw(st.integers(0, ring.cardinality - 1))]
+    j = draw(st.integers(0, q - 1))
+    return g, ring.representatives(code, j + 1, N)[j], N
+
+
+class TestInverse:
+    @settings(max_examples=200, deadline=None)
+    @given(near_identity_and_point())
+    def test_newton_matches_fixed_point(self, case):
+        # an exact y has no precision of its own: the map's N sets the count
+        g, y, N = case
+        assert g.inverse()(y) == fixed_point_inverse(g, y, N + 2)
+
+    def test_unit_multiple_is_inverted(self):
+        D5 = padic(5)
+        g = poly_map(D5, [0, 3])
+        ginv = g.inverse()
+        for n in (1, 2, 4, 7, 24, 5 ** 6 + 3):
+            y = e(D5, n)
+            assert g(ginv(y)).same(y)
+
+    def test_exact_point_converges_beyond_default_precision(self):
+        # 3 + 3x contracts by one digit per step: an exact y has no
+        # precision to size a step count from, and 32 linear steps would
+        # solve 3 + 4x = 0 only mod 3^33 while claiming 64 digits
+        g = poly_map(D3, [3, 4], N=64)
+        zero = LocalFieldElement.zero(D3)
+        residual = g(g.inverse()(zero))
+        assert residual.is_zero() and residual.precision == 64
+
+    def test_critical_point_is_not_well_defined(self):
+        with pytest.raises(NotWellDefined):
+            poly_map(D3, [0, 0, 0, 1]).inverse()(e(D3, 2))
+
+    def test_unsolvable_equation_raises(self):
+        # x^2 + x + 1 has no root mod 2, so Newton cycles between 0 and -1
+        g = poly_map(D2, [1, 1, 1])
+        with pytest.raises(NotWellDefined):
+            g.inverse()(LocalFieldElement.zero(D2))
 
 
 class TestWitness:
