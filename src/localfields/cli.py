@@ -135,6 +135,7 @@ def _emit(text: str, out: str):
 # ---------------------------------------------------------------------------
 
 def emit_tables(kind: str, bound: int) -> str:
+    _count("--bound", bound)
     lines = []
     if kind in ("S", "T"):
         tables = mahler.stirling_tables(bound)
@@ -168,6 +169,14 @@ class SystemExit2(SystemExit):
     def __init__(self, msg):
         print(f"error: {msg}", file=sys.stderr)
         super().__init__(2)
+
+
+def _count(option: str, value: int) -> int:
+    """A bound or index count given on the command line; it cannot be
+    negative."""
+    if value < 0:
+        raise SystemExit2(f"{option} must be >= 0, got {value}")
+    return value
 
 
 @contextlib.contextmanager
@@ -216,7 +225,8 @@ def cmd_mahler(ns) -> int:
             raise SystemExit2("expand needs a function spec")
         poly = _field_poly(ns, text)
         series = mahler.expand(lambda x: poly.eval_cached(
-            [LocalFieldElement.from_int(padic(p), x, N)]), ns.J, p, N)
+            [LocalFieldElement.from_int(padic(p), x, N)]), _count("-J", ns.J),
+            p, N)
 
         def show(c):
             if c.is_zero():
@@ -237,13 +247,14 @@ def cmd_mahler(ns) -> int:
         with _bad_input():
             g = mahler.parse_series(ns.outer)
             f = mahler.parse_series(ns.inner)
-        print(repr(mahler.compose(g, f, ns.K)))
+            composed = mahler.compose(g, f, _count("-K", ns.K))
+        print(repr(composed))
         return 0
     if ns.action == "invert":
         with _bad_input():
             f = mahler.parse_series(ns.series)
         try:
-            inv = mahler.invert(f, ns.K)
+            inv = mahler.invert(f, _count("-K", ns.K))
         except mahler.SingularSystem as exc:
             raise SystemExit2(str(exc))
         print(repr(inv))
@@ -431,9 +442,11 @@ def cmd_oneparam(ns) -> int:
 
 
 def cmd_loop(ns) -> int:
-    N = loops.PointedSet(tuple(range(ns.n_size)), 0)
+    with _bad_input(loops.LoopError):
+        N = loops.PointedSet(tuple(range(ns.n_size)), 0)
     if ns.action == "classes":
-        M = loops.PointedSet(tuple(range(ns.m_size)), 0)
+        with _bad_input(loops.LoopError):
+            M = loops.PointedSet(tuple(range(ns.m_size)), 0)
         seen = sorted({loops.class_of(f).values
                        for f in loops.all_pinned_maps(M, N)})
         for vals in seen:

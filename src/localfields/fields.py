@@ -144,7 +144,9 @@ class LocalFieldElement:
 
     @classmethod
     def zero(cls, desc: FieldDescriptor) -> "LocalFieldElement":
-        return cls(desc, 0, 0, 0, _exact_zero=True)
+        z = _unit(desc, 0, 0, 0)
+        z._exact_zero = True
+        return z
 
     @classmethod
     def one(cls, desc: FieldDescriptor, precision: int = DEFAULT_PRECISION):
@@ -155,11 +157,13 @@ class LocalFieldElement:
         if n == 0:
             return cls.zero(desc)
         if desc.family == PADIC:
-            v = 0
-            while n % desc.p == 0:
-                n //= desc.p
+            p, v = desc.p, 0
+            while n % p == 0:
+                n //= p
                 v += 1
-            return cls(desc, v, n % desc.p ** (precision - v), precision - v)
+            rel = precision - v
+            return _unit(desc, v, n % p ** rel, rel) if rel > 0 \
+                else _unit(desc, v, 0, 0)
         # integers embed through the prime field
         G = desc.gf()
         c0 = G.from_int(n)
@@ -191,7 +195,7 @@ class LocalFieldElement:
 
     @classmethod
     def apparent_zero(cls, desc, precision: int) -> "LocalFieldElement":
-        return cls(desc, precision, 0 if desc.family == PADIC else (), 0)
+        return _unit(desc, precision, 0 if desc.family == PADIC else (), 0)
 
     # -- basic queries -----------------------------------------------------
 
@@ -242,50 +246,73 @@ class LocalFieldElement:
 
     # -- arithmetic --------------------------------------------------------
 
-    def _check(self, other):
+    def _operand(self, other) -> "LocalFieldElement":
+        """The other operand of a binary op: an int is coerced, anything
+        else must be an element over the same field.  Callers skip this when
+        `other.__class__ is LocalFieldElement and other.desc is self.desc`."""
+        if isinstance(other, int):
+            return self._coerce_int(other)
         if (not isinstance(other, LocalFieldElement)
                 or other.desc is not self.desc and other.desc != self.desc):
             raise DescriptorMismatch(f"operand descriptors differ: {self.desc} vs "
                                      f"{getattr(other, 'desc', type(other))}")
+        return other
 
     def _coerce_int(self, n: int) -> "LocalFieldElement":
         """An integer operand is exactly known; give it enough precision that
-        the coercion never binds the result's budget."""
+        the coercion never binds the result's budget: relative precision one
+        more than the element's absolute precision."""
+        desc = self.desc
         if self._exact_zero:
-            return LocalFieldElement.from_int(self.desc, n, DEFAULT_PRECISION)
-        v = 0
-        if n:
-            while n % self.desc.p ** (v + 1) == 0:
-                v += 1
-        return LocalFieldElement.from_int(
-            self.desc, n, self._val + self._rel + v + 1)
+            return LocalFieldElement.from_int(desc, n, DEFAULT_PRECISION)
+        if not n:
+            return LocalFieldElement.zero(desc)
+        p, m, v = desc.p, n, 0
+        while m % p == 0:
+            m //= p
+            v += 1
+        rel = self._val + self._rel + 1
+        if desc.family != PADIC:
+            return LocalFieldElement.from_int(desc, n, rel + v)
+        return _unit(desc, v, m % p ** rel, rel) if rel > 0 \
+            else _unit(desc, v, 0, 0)
 
-    def __add__(self, other):
-        if isinstance(other, int):
-            other = self._coerce_int(other)
-        self._check(other)
+    def _sum(self, other, sign: int) -> "LocalFieldElement":
+        """self + sign * other (sign is 1 or -1), aligned at the lesser
+        valuation and known to the lesser precision."""
+        if other.__class__ is not LocalFieldElement or other.desc is not self.desc:
+            other = self._operand(other)
         if self._exact_zero:
-            return other
+            return other if sign > 0 else -other
         if other._exact_zero:
             return self
-        N = min(self.precision, other.precision)
-        v0 = min(self._val, other._val)
+        desc, sv, ov = self.desc, self._val, other._val
+        v0 = sv if sv < ov else ov
+        N = min(sv + self._rel, ov + other._rel)
         rel = N - v0
         if rel <= 0:
-            return LocalFieldElement.apparent_zero(self.desc, N)
-        if self.desc.family == PADIC:
-            p = self.desc.p
-            s = (self._mant * p ** (self._val - v0)
-                 + other._mant * p ** (other._val - v0)) % p ** rel
-            return LocalFieldElement(self.desc, v0, s, rel)
-        G = self.desc.gf()
+            return LocalFieldElement.apparent_zero(desc, N)
+        if desc.family == PADIC:
+            p = desc.p
+            a = self._mant if sv == v0 else self._mant * p ** (sv - v0)
+            b = other._mant if ov == v0 else other._mant * p ** (ov - v0)
+            s = (a + b if sign > 0 else a - b) % p ** rel
+            # a nonzero low digit means the sum is already normalised
+            return _unit(desc, v0, s, rel) if s % p \
+                else LocalFieldElement(desc, v0, s, rel)
+        if sign < 0:
+            other = -other
+        G = desc.gf()
         coeffs = [0] * rel
         for src in (self, other):
             off = src._val - v0
             for i, c in enumerate(src._mant):
                 if off + i < rel:
                     coeffs[off + i] = G.add(coeffs[off + i], c)
-        return LocalFieldElement(self.desc, v0, tuple(coeffs), rel)
+        return LocalFieldElement(desc, v0, tuple(coeffs), rel)
+
+    def __add__(self, other):
+        return self._sum(other, 1)
 
     __radd__ = __add__
 
@@ -293,36 +320,33 @@ class LocalFieldElement:
         if self._exact_zero:
             return self
         if self.desc.family == PADIC:
-            return LocalFieldElement(self.desc, self._val,
-                                     (-self._mant) % self.desc.p ** self._rel,
-                                     self._rel)
+            return _unit(self.desc, self._val,
+                         (-self._mant) % self.desc.p ** self._rel, self._rel)
         G = self.desc.gf()
         return LocalFieldElement(self.desc, self._val,
                                  tuple(G.neg(c) for c in self._mant), self._rel)
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = self._coerce_int(other)
-        return self + (-other)
+        return self._sum(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            other = self._coerce_int(other)
-        self._check(other)
+        if other.__class__ is not LocalFieldElement or other.desc is not self.desc:
+            other = self._operand(other)
+        desc = self.desc
         if self._exact_zero or other._exact_zero:
-            return LocalFieldElement.zero(self.desc)
+            return LocalFieldElement.zero(desc)
         v = self._val + other._val
-        rel = min(self._rel, other._rel)
-        if self.is_zero() or other.is_zero():
-            return LocalFieldElement.apparent_zero(self.desc, v + rel)
-        if self.desc.family == PADIC:
-            m = (self._mant * other._mant) % self.desc.p ** rel
-            return LocalFieldElement(self.desc, v, m, rel)
-        coeffs = self.desc.gf().series_mul(self._mant, other._mant, [0] * rel)
-        return LocalFieldElement(self.desc, v, coeffs, rel)
+        rel = self._rel if self._rel < other._rel else other._rel
+        if rel == 0:
+            return LocalFieldElement.apparent_zero(desc, v)
+        if desc.family == PADIC:
+            # a unit times a unit is a unit
+            return _unit(desc, v, self._mant * other._mant % desc.p ** rel, rel)
+        coeffs = desc.gf().series_mul(self._mant, other._mant, [0] * rel)
+        return LocalFieldElement(desc, v, coeffs, rel)
 
     __rmul__ = __mul__
 
@@ -336,8 +360,7 @@ class LocalFieldElement:
             raise NonUnit(f"inv_unit needs valuation 0, got {self.valuation}")
         rel = self._rel
         if self.desc.family == PADIC:
-            return LocalFieldElement(self.desc, 0,
-                                     pow(self._mant, -1, self.desc.p ** rel), rel)
+            return _unit(self.desc, 0, pow(self._mant, -1, self.desc.p ** rel), rel)
         G = self.desc.gf()
         c = self._mant
         inv0 = G.inv(c[0])
@@ -352,17 +375,15 @@ class LocalFieldElement:
 
     def divide(self, other) -> "LocalFieldElement":
         """self / other; consumes valuation(other) units of precision budget."""
-        if isinstance(other, int):
-            other = self._coerce_int(other)
-        self._check(other)
+        if other.__class__ is not LocalFieldElement or other.desc is not self.desc:
+            other = self._operand(other)
         if other.is_zero():
             raise NonUnit("division by (apparent) zero")
         if self._exact_zero:
             return self
-        unit = LocalFieldElement(other.desc, 0, other._mant, other._rel)
-        quo = self * unit.inv_unit()
-        return LocalFieldElement(self.desc, quo._val - other._val, quo._mant,
-                                 quo._rel, _exact_zero=quo._exact_zero)
+        # other's mantissa is its unit part; the quotient is never exact zero
+        quo = self * _unit(self.desc, 0, other._mant, other._rel).inv_unit()
+        return _unit(self.desc, quo._val - other._val, quo._mant, quo._rel)
 
     def __truediv__(self, other):
         return self.divide(other)
@@ -449,6 +470,15 @@ class LocalFieldElement:
                            for i, c in enumerate(self._mant) if c)
         return f"<p={self.desc.p},u={self.desc.u}:{terms or '0'}" \
                f" mod t^{self.precision}>"
+
+
+def _unit(desc, val, mant, rel) -> LocalFieldElement:
+    """An element whose mantissa is normalised by construction (a unit mod
+    pi^rel, reduced; or the empty mantissa when rel = 0), built without
+    __init__'s normalisation."""
+    x = object.__new__(LocalFieldElement)
+    x.desc, x._val, x._mant, x._rel, x._exact_zero = desc, val, mant, rel, False
+    return x
 
 
 # ---------------------------------------------------------------------------

@@ -253,11 +253,19 @@ class TestUsageErrors:
         ("oneparam", "lift", "-s", "0"),
         ("oneparam", "lift", "--levels", "0"),
         ("oneparam", "lift", "--levels", "a"),
+        ("tables", "--kind", "S", "--bound", "-1"),
+        ("mahler", "invert", "--series", "p=3 N=8 coeffs=[0,1]", "-K", "-1"),
+        ("loop", "classes", "--m-size", "-1"),
+        ("mahler", "compose", "--outer", "p=3 N=8 coeffs=[0,1]",
+         "--inner", "p=5 N=8 coeffs=[0,1]"),
+        ("mahler", "expand", "--fn", "x", "-J", "-1"),
     ], ids=["composite-prime", "zero-denominator", "zero-precision",
             "bad-point", "zero-level", "bad-levels", "bad-perm",
             "bad-order", "zero-ball-radius", "critical-inverse",
             "non-bijective-check", "lift-zero-radius", "lift-zero-level",
-            "lift-bad-levels"])
+            "lift-bad-levels", "negative-table-bound",
+            "negative-invert-order", "negative-loop-size",
+            "compose-across-fields", "negative-expand-order"])
     def test_bad_input_is_one_line_error(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2

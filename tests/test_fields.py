@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from localfields.fields import (DescriptorMismatch, FieldDescriptor,
+from localfields.fields import (DEFAULT_PRECISION, DescriptorMismatch,
+                                FieldDescriptor, FieldError,
                                 LocalFieldElement, NonUnit,
                                 PrecisionExhausted, ProjectionMap,
                                 ResidueRing, binom_valuation,
@@ -316,3 +317,246 @@ class TestLiterals:
     def test_bad_digit(self):
         with pytest.raises(ValueError):
             parse_element("p=3:591")
+
+
+# ---------------------------------------------------------------------------
+# Q_p arithmetic against the normalising reference
+# ---------------------------------------------------------------------------
+#
+# The ref_* functions are the arithmetic bodies as they were before the
+# element ops built normalised results directly: every result goes through
+# the normalising constructor, and a - b allocates -b.  The ops must match
+# them by exact ==.
+
+def ref_from_int(desc, n, precision):
+    if n == 0:
+        return LocalFieldElement(desc, 0, 0, 0, _exact_zero=True)
+    v = 0
+    while n % desc.p == 0:
+        n //= desc.p
+        v += 1
+    return LocalFieldElement(desc, v, n % desc.p ** (precision - v),
+                             precision - v)
+
+
+def ref_coerce_int(a, n):
+    if a.is_exact_zero:
+        return ref_from_int(a.desc, n, DEFAULT_PRECISION)
+    v = 0
+    if n:
+        while n % a.desc.p ** (v + 1) == 0:
+            v += 1
+    return ref_from_int(a.desc, n, a._val + a._rel + v + 1)
+
+
+def ref_add(a, b):
+    if isinstance(b, int):
+        b = ref_coerce_int(a, b)
+    if a.is_exact_zero:
+        return b
+    if b.is_exact_zero:
+        return a
+    N = min(a.precision, b.precision)
+    v0 = min(a._val, b._val)
+    rel = N - v0
+    if rel <= 0:
+        return LocalFieldElement(a.desc, N, 0, 0)
+    p = a.desc.p
+    s = (a._mant * p ** (a._val - v0) + b._mant * p ** (b._val - v0)) % p ** rel
+    return LocalFieldElement(a.desc, v0, s, rel)
+
+
+def ref_neg(a):
+    if a.is_exact_zero:
+        return a
+    return LocalFieldElement(a.desc, a._val, (-a._mant) % a.desc.p ** a._rel,
+                             a._rel)
+
+
+def ref_sub(a, b):
+    if isinstance(b, int):
+        b = ref_coerce_int(a, b)
+    return ref_add(a, ref_neg(b))
+
+
+def ref_mul(a, b):
+    if isinstance(b, int):
+        b = ref_coerce_int(a, b)
+    if a.is_exact_zero or b.is_exact_zero:
+        return LocalFieldElement(a.desc, 0, 0, 0, _exact_zero=True)
+    v = a._val + b._val
+    rel = min(a._rel, b._rel)
+    if a.is_zero() or b.is_zero():
+        return LocalFieldElement(a.desc, v + rel, 0, 0)
+    return LocalFieldElement(a.desc, v, a._mant * b._mant % a.desc.p ** rel, rel)
+
+
+def ref_inv_unit(a):
+    if a.is_zero() or a._val != 0:
+        raise NonUnit("inv_unit needs valuation 0")
+    return LocalFieldElement(a.desc, 0, pow(a._mant, -1, a.desc.p ** a._rel),
+                             a._rel)
+
+
+def ref_divide(a, b):
+    if isinstance(b, int):
+        b = ref_coerce_int(a, b)
+    if b.is_zero():
+        raise NonUnit("division by (apparent) zero")
+    if a.is_exact_zero:
+        return a
+    unit = LocalFieldElement(b.desc, 0, b._mant, b._rel)
+    quo = ref_mul(a, ref_inv_unit(unit))
+    return LocalFieldElement(a.desc, quo._val - b._val, quo._mant, quo._rel,
+                             _exact_zero=quo._exact_zero)
+
+
+def outcome(fn, *args):
+    """The result of fn(*args), or the type of the FieldError it raises."""
+    try:
+        return fn(*args)
+    except FieldError as exc:
+        return type(exc)
+
+
+def assert_normalised(x):
+    """The representation invariant every trusted construction relies on:
+    exact zero, or an apparent zero (rel 0, mantissa 0), or a unit
+    mantissa reduced mod p^rel."""
+    if isinstance(x, type):  # an expected exception type
+        return
+    assert type(x._val) is int and type(x._mant) is int and type(x._rel) is int
+    if x.is_exact_zero:
+        assert (x._val, x._mant, x._rel) == (0, 0, 0)
+    elif x._rel == 0:
+        assert x._mant == 0
+    else:
+        p = x.desc.p
+        assert 0 <= x._mant < p ** x._rel and x._mant % p != 0
+
+
+QP = [padic(2), padic(3), padic(5), padic(7)]
+
+
+@st.composite
+def qp_elements(draw, desc):
+    """Exact zeros, apparent zeros and elements of either sign of valuation
+    with relative precision 0..80, built by the normalising constructor."""
+    kind = draw(st.sampled_from(["exact", "apparent", "any", "any", "any"]))
+    if kind == "exact":
+        return LocalFieldElement.zero(desc)
+    val = draw(st.integers(-20, 20))
+    if kind == "apparent":
+        return LocalFieldElement.apparent_zero(desc, val)
+    rel = draw(st.integers(0, 80))
+    mant = draw(st.integers(0, desc.p ** rel - 1))
+    return LocalFieldElement(desc, val, mant, rel)
+
+
+def int_operands(p):
+    return st.one_of(st.just(0), st.integers(-10 ** 6, 10 ** 6),
+                     st.builds(lambda k, e: k * p ** e,
+                               st.integers(-50, 50), st.integers(1, 40)))
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.sampled_from(QP), st.data())
+def test_qp_ops_match_normalising_reference(desc, data):
+    a = data.draw(qp_elements(desc))
+    b = data.draw(qp_elements(desc))
+    pairs = [(a + b, ref_add(a, b)), (a - b, ref_sub(a, b)),
+             (b - a, ref_sub(b, a)), (a * b, ref_mul(a, b)), (-a, ref_neg(a)),
+             (outcome(a.divide, b), outcome(ref_divide, a, b)),
+             (outcome(a.inv_unit), outcome(ref_inv_unit, a))]
+    for got, want in pairs:
+        assert got == want
+        assert_normalised(got)
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.sampled_from(QP), st.data())
+def test_qp_int_operands_match_normalising_reference(desc, data):
+    a = data.draw(qp_elements(desc))
+    n = data.draw(int_operands(desc.p))
+    pairs = [(a._coerce_int(n), ref_coerce_int(a, n)),
+             (a + n, ref_add(a, n)), (n + a, ref_add(a, n)),
+             (a - n, ref_sub(a, n)), (n - a, ref_add(ref_neg(a), n)),
+             (a * n, ref_mul(a, n)), (n * a, ref_mul(a, n)),
+             (outcome(a.divide, n), outcome(ref_divide, a, n)),
+             (LocalFieldElement.from_int(desc, n, a._rel),
+              ref_from_int(desc, n, a._rel))]
+    for got, want in pairs:
+        assert got == want
+        assert_normalised(got)
+
+
+# ---------------------------------------------------------------------------
+# Fraction oracle: no Q_p result claims a digit it does not know
+# ---------------------------------------------------------------------------
+
+def vp(q: Fraction, p: int):
+    """p-adic valuation of a rational (infinite at 0)."""
+    if q == 0:
+        return math.inf
+    v, num, den = 0, q.numerator, q.denominator
+    while num % p == 0:
+        num //= p
+        v += 1
+    while den % p == 0:
+        den //= p
+        v -= 1
+    return v
+
+
+def value(x) -> Fraction:
+    """The rational the element's digits spell out (0 for any zero)."""
+    if x.is_zero():
+        return Fraction(0)
+    return Fraction(x.desc.p) ** x._val * x._mant
+
+
+def assert_sound(result, exact: Fraction):
+    """The result agrees with the exact value to every digit it claims; an
+    operation that refuses (NonUnit) claims nothing."""
+    if isinstance(result, type):
+        return
+    assert vp(value(result) - exact, result.desc.p) >= result.precision
+
+
+@st.composite
+def rationals(draw, p):
+    num = draw(st.one_of(st.just(0), st.integers(-10 ** 6, 10 ** 6)))
+    den = draw(st.integers(1, 10 ** 4))
+    return Fraction(num, den) * Fraction(p) ** draw(st.integers(-8, 8))
+
+
+# 400 examples: each draws p in {2, 3, 5}, two rationals, two precisions in
+# 1..64 and an integer operand, and checks 14 results.
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from([2, 3, 5]), st.integers(1, 64), st.integers(1, 64),
+       st.data())
+def test_qp_results_agree_with_fraction_oracle(p, n1, n2, data):
+    desc = padic(p)
+    q1, q2 = data.draw(rationals(p)), data.draw(rationals(p))
+    n = data.draw(int_operands(p))
+    x = outcome(LocalFieldElement.from_fraction, desc, q1, n1)
+    y = outcome(LocalFieldElement.from_fraction, desc, q2, n2)
+    assert_sound(x, q1)
+    assert_sound(y, q2)
+    if isinstance(x, type) or isinstance(y, type):
+        return
+    assert_sound(x + y, q1 + q2)
+    assert_sound(x - y, q1 - q2)
+    assert_sound(x * y, q1 * q2)
+    assert_sound(x + n, q1 + n)
+    assert_sound(x - n, q1 - n)
+    assert_sound(n - x, n - q1)
+    assert_sound(x * n, q1 * n)
+    if q2:
+        assert_sound(outcome(x.divide, y), q1 / q2)
+    if n:
+        assert_sound(outcome(x.divide, n), q1 / n)
+    if q1:
+        assert_sound(outcome(lambda: n / x), n / q1)
+    if not x.is_zero() and x.valuation == 0:
+        assert_sound(x.inv_unit(), 1 / q1)
