@@ -11,6 +11,7 @@ valuation +infinity so that no spurious precision is ever claimed.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -87,10 +88,14 @@ class FieldDescriptor:
 INFINITY = math.inf
 
 
+# one descriptor object per field, so that element ops and the integer
+# evaluation paths find operands over the same field by identity
+@functools.cache
 def padic(p: int) -> FieldDescriptor:
     return FieldDescriptor(PADIC, p)
 
 
+@functools.cache
 def laurent(p: int, u: int = 1) -> FieldDescriptor:
     return FieldDescriptor(LAURENT, p, u)
 
@@ -479,6 +484,22 @@ def _unit(desc, val, mant, rel) -> LocalFieldElement:
     x = object.__new__(LocalFieldElement)
     x.desc, x._val, x._mant, x._rel, x._exact_zero = desc, val, mant, rel, False
     return x
+
+
+def _int_sum(desc, terms, N) -> LocalFieldElement:
+    """sum p^v * m over the (v, m) int pairs in `terms` (at least one),
+    known modulo p^N: one exact integer sum, normalised once.  Callers pass
+    N = the least val + rel over their terms, the budget their element loop
+    claims; each element op agrees with the exact integer op on the
+    representatives p^val * mantissa modulo the precision it claims, so both
+    give (value mod p^N, N), whose normalised form is unique."""
+    v = min([t[0] for t in terms])
+    if N <= v:
+        return _unit(desc, N, 0, 0)
+    p, s = desc.p, 0
+    for w, m in terms:
+        s += m * p ** (w - v) if w != v else m
+    return LocalFieldElement(desc, v, s, N - v)
 
 
 # ---------------------------------------------------------------------------

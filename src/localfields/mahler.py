@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .fields import (DEFAULT_PRECISION, FieldDescriptor,
-                     LocalFieldElement, padic)
+                     LocalFieldElement, _int_sum, padic)
 from .linalg import SingularSystem, solve_linear
 
 MAX_OMEGA_BOUND = 8
@@ -107,14 +107,39 @@ class MahlerSeries:
 
     def evaluate(self, x, precision: int | None = None) -> LocalFieldElement:
         """sum f_j C(x,j).  Integer and Fraction arguments are exact; field
-        arguments pay the j! division budget."""
-        if isinstance(x, (int, Fraction)):
+        arguments pay the j! division budget.
+
+        At an integer: one exact integer sum (`fields._int_sum`) of f_j * b,
+        b = C(x, j) != 0, each term with the valuation val(f_j) + v_p(b) and
+        the relative precision min(rel(f_j), max(N_j + 1, 0)), N_j the
+        precision of f_j, that the element product `f_j * b` gives it."""
+        if isinstance(x, int):
+            p, pairs, N, b = self.p, [], math.inf, 1
+            for j, c in enumerate(self.coeffs):
+                if j:
+                    b = b * (x - j + 1) // j  # C(x, j): 0 from j = x + 1 on
+                    if not b:
+                        break
+                if not c._exact_zero:
+                    vb, u = 0, b
+                    while not u % p:
+                        u //= p
+                        vb += 1
+                    v, r = c._val, c._rel
+                    # min(r, max(v + r + 1, 0)) is r for v >= -1
+                    prec = v + vb + (r if v >= -1 else max(v + r + 1, 0))
+                    if prec < N:
+                        N = prec
+                    pairs.append((v, c._mant * b))
+            return (_int_sum(self.desc, pairs, N) if pairs
+                    else LocalFieldElement.zero(self.desc))
+        if isinstance(x, Fraction):
             acc = None
             for j, c in enumerate(self.coeffs):
                 b = binom_int(x, j)
                 if b == 0:
                     continue
-                if isinstance(b, Fraction) and b.denominator != 1:
+                if b.denominator != 1:
                     term = c * LocalFieldElement.from_fraction(
                         self.desc, b,
                         (c.precision if c.precision != math.inf else
@@ -207,8 +232,8 @@ def _callable_of(f):
         return f
     if hasattr(f, "evaluate"):
         return f.evaluate
-    if hasattr(f, "eval"):
-        return lambda x: f.eval([x])
+    if hasattr(f, "eval_cached"):
+        return lambda x: f.eval_cached([x])
     raise TypeError(f"cannot evaluate object of type {type(f)}")
 
 

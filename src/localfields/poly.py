@@ -8,9 +8,10 @@ single variable that divides every monomial.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
-from .fields import LocalFieldElement
+from .fields import PADIC, LocalFieldElement, _int_sum
 
 
 def _is_zero_coeff(c) -> bool:
@@ -144,22 +145,20 @@ class MultiPoly:
     # -- substitution and evaluation ------------------------------------------
 
     def eval(self, values, one=1):
-        """Evaluate at a full vector of values (any ring with +,*)."""
-        if len(values) != self.nvars:
-            raise ValueError("wrong number of values")
-        acc = None
-        for exp, c in self.terms.items():
-            term = c
-            for i, e in enumerate(exp):
-                for _ in range(e):
-                    term = term * values[i]
-            acc = term if acc is None else acc + term
-        if acc is None:
-            return one * 0
-        return acc
+        """eval_cached under the name perfbench/tracer.py wraps."""
+        return self.eval_cached(values, one)
 
     def eval_cached(self, values, one=1):
-        """eval() with memoised per-variable power tables."""
+        """Evaluate at a full vector of values (any ring with +, *): one
+        exact integer sum over Q_p (`_eval_padic`), else term by term with
+        memoised per-variable power tables.  The zero polynomial is one * 0."""
+        if not self.terms:
+            return one * 0
+        x0 = values[0] if values else None
+        if x0.__class__ is LocalFieldElement and x0.desc.family == PADIC:
+            out = _eval_padic(self.terms, values, x0.desc)
+            if out is not None:
+                return out
         powers = [None] * self.nvars
 
         def pw(i, e):
@@ -183,8 +182,6 @@ class MultiPoly:
                 if e:
                     term = term * pw(i, e)
             acc = term if acc is None else acc + term
-        if acc is None:
-            return one * 0
         return acc
 
     def subst(self, mapping: dict[int, "MultiPoly"]) -> "MultiPoly":
@@ -231,6 +228,36 @@ class MultiPoly:
             mono = "*".join(f"x{i}^{e}" for i, e in enumerate(exp) if e)
             bits.append(f"{self.terms[exp]}" + (f"*{mono}" if mono else ""))
         return " + ".join(bits)
+
+
+def _eval_padic(terms, values, desc):
+    """One exact integer sum (`fields._int_sum`), or None unless every value
+    and coefficient is an element over `desc`.  A term has valuation val(c) +
+    sum e_i val(x_i) and relative precision min(rel(c), rel(x_i) for e_i > 0);
+    an exact-zero c, or exact-zero x_i with e_i > 0, drops it."""
+    for x in values:
+        if x.__class__ is not LocalFieldElement or x.desc is not desc:
+            return None
+    pairs, N = [], math.inf
+    for exp, c in terms.items():
+        if c.__class__ is not LocalFieldElement or c.desc is not desc:
+            return None
+        if c._exact_zero:
+            continue
+        v, r, m = c._val, c._rel, c._mant
+        for x, e in zip(values, exp):
+            if e:
+                if x._exact_zero:
+                    break
+                v += e * x._val
+                if x._rel < r:
+                    r = x._rel
+                m *= x._mant ** e
+        else:
+            pairs.append((v, m))
+            if v + r < N:
+                N = v + r
+    return _int_sum(desc, pairs, N) if pairs else LocalFieldElement.zero(desc)
 
 
 def _one_like(c):

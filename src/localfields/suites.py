@@ -16,8 +16,9 @@ from fractions import Fraction
 
 from . import calculus, loops, mahler, oneparam, tower
 from .calculus import FnRepr, PhiPoint, TreePoint
-from .fields import (LocalFieldElement, binom_valuation_exponent, laurent,
-                     legendre_lambda, padic)
+from .fields import (FieldError, LocalFieldElement,
+                     binom_valuation_exponent, laurent, legendre_lambda, padic)
+from .linalg import SingularSystem
 from .poly import MultiPoly
 
 
@@ -598,6 +599,12 @@ SUITES = {
 }
 
 
+# the package's documented errors: a suite that raises one records a FAIL
+PACKAGE_ERRORS = (FieldError, SingularSystem, tower.TowerError,
+                  calculus.CalculusError, oneparam.OneParamError,
+                  loops.LoopError)
+
+
 def run_suite(cfg: RunConfig) -> Report:
     report = Report()
     if cfg.suite == "none":
@@ -610,5 +617,11 @@ def run_suite(cfg: RunConfig) -> Report:
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}; known: "
                              f"{', '.join(sorted(SUITES))}, all, none")
-        report.records.extend(SUITES[name](cfg))
+        t0 = time.perf_counter()
+        try:
+            report.records.extend(SUITES[name](cfg))
+        except PACKAGE_ERRORS as exc:
+            report.records.append(_record(
+                f"{name}-raised", "suites", name, False,
+                f"seed={cfg.seed} {type(exc).__name__}: {exc}", t0=t0))
     return report

@@ -182,6 +182,22 @@ class TestRun:
         assert any(i.startswith("01-") for i in ids)
         assert any(i.startswith("11-") for i in ids)
 
+    def test_suite_that_raises_records_a_fail(self, capsys):
+        # on seed 18 every sampled point of leibniz-chain is degenerate and
+        # the suite raises ZeroDenominator
+        code, out, err = run_cli(capsys, "--seed", "18", "run",
+                                 "--suite", "leibniz-chain")
+        assert code == 1
+        assert "Traceback" not in err
+        lines = out.strip().splitlines()
+        rec = json.loads(lines[0])
+        assert rec["check_id"] == "leibniz-chain-raised"
+        assert rec["status"] == "FAIL"
+        assert rec["operation"] == "leibniz-chain"
+        assert "ZeroDenominator" in rec["inputs"]
+        assert json.loads(lines[-1])["summary"] == {
+            "checks": 1, "passed": 0, "failed": 1}
+
     def test_stirling_suite_passes(self, capsys):
         code, out, err = run_cli(capsys, "run", "--suite", "stirling")
         assert code == 0

@@ -6,7 +6,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from localfields.fields import (DEFAULT_PRECISION, DescriptorMismatch,
@@ -18,6 +18,8 @@ from localfields.fields import (DEFAULT_PRECISION, DescriptorMismatch,
                                 digit_sum, format_element, laurent,
                                 legendre_lambda, padic, parse_element,
                                 project_down)
+from localfields.mahler import MahlerSeries, binom_int
+from localfields.poly import MultiPoly
 
 D2 = padic(2)
 D3 = padic(3)
@@ -560,3 +562,162 @@ def test_qp_results_agree_with_fraction_oracle(p, n1, n2, data):
         assert_sound(outcome(lambda: n / x), n / q1)
     if not x.is_zero() and x.valuation == 0:
         assert_sound(x.inv_unit(), 1 / q1)
+
+
+# ---------------------------------------------------------------------------
+# Polynomial and Mahler evaluation as one exact integer sum
+# ---------------------------------------------------------------------------
+#
+# ref_eval_cached and ref_evaluate_int are the element loops that
+# MultiPoly.eval_cached and MahlerSeries.evaluate ran at Q_p points and at
+# integers before those became one integer sum; ref_eval is the naive
+# evaluator (x^e as e - 1 products) that MultiPoly.eval was.  The new paths
+# must match them by exact ==.
+
+def ref_eval(poly, values, one=1):
+    acc = None
+    for exp, c in poly.terms.items():
+        term = c
+        for i, k in enumerate(exp):
+            for _ in range(k):
+                term = term * values[i]
+        acc = term if acc is None else acc + term
+    return one * 0 if acc is None else acc
+
+
+def ref_eval_cached(poly, values, one=1):
+    powers = [None] * poly.nvars
+
+    def pw(i, k):
+        tab = powers[i]
+        if tab is None:
+            tab = powers[i] = {1: values[i]}
+        if k in tab:
+            return tab[k]
+        j = max(jj for jj in tab if jj <= k)
+        acc = tab[j]
+        while j < k:
+            acc = acc * values[i]
+            j += 1
+            tab[j] = acc
+        return acc
+
+    acc = None
+    for exp, c in poly.terms.items():
+        term = c
+        for i, k in enumerate(exp):
+            if k:
+                term = term * pw(i, k)
+        acc = term if acc is None else acc + term
+    return one * 0 if acc is None else acc
+
+
+def ref_evaluate_int(series, x):
+    acc = None
+    for j, c in enumerate(series.coeffs):
+        b = binom_int(x, j)
+        if b == 0:
+            continue
+        term = c * int(b)
+        acc = term if acc is None else acc + term
+    return acc if acc is not None else LocalFieldElement.zero(series.desc)
+
+
+# 400 examples: each draws p in {2, 3, 5, 7}, 1-3 variables, a polynomial
+# of up to 6 terms with exponents 0..4 and coefficients from qp_elements,
+# and a point: Q_p elements (exact and apparent zeros included) over the
+# same descriptor, or, one in five each, over an equal descriptor that is a
+# different object, or ints; the last two take the element loop.
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(QP), st.integers(1, 3), st.data())
+def test_eval_cached_matches_element_loop(desc, nvars, data):
+    exps = st.tuples(*[st.integers(0, 4)] * nvars)
+    poly = MultiPoly(nvars, data.draw(st.dictionaries(
+        exps, qp_elements(desc), max_size=6)))
+    kind = data.draw(st.sampled_from(["same", "same", "same", "twin", "int"]))
+    if kind == "int":
+        values = [data.draw(int_operands(desc.p)) for _ in range(nvars)]
+    else:
+        twin = FieldDescriptor(desc.family, desc.p) if kind == "twin" else desc
+        values = [data.draw(qp_elements(twin)) for _ in range(nvars)]
+    got = poly.eval_cached(values)
+    assert got == ref_eval_cached(poly, values)
+    assert poly.eval(values) == got
+    # element products are associative in val, rel and mantissa, so the
+    # naive evaluator agrees; an int operand is coerced to one more digit
+    # than the other factor's absolute precision, which for a factor of
+    # valuation <= -2 loses digits once per product, so at int points the
+    # two agree only for coefficients of valuation >= -1
+    if kind != "int" or all(c.valuation >= -1 for c in poly.terms.values()):
+        assert got == ref_eval(poly, values)
+    if isinstance(got, LocalFieldElement):
+        assert_normalised(got)
+
+
+def test_eval_cached_of_the_zero_polynomial():
+    one = LocalFieldElement.one(D3)
+    assert MultiPoly(2).eval_cached([one, one]) == 0
+    assert MultiPoly(2).eval_cached([one, one], one) == one * 0
+
+
+# 400 examples: p in {2, 3, 5, 7}, 0-12 coefficients from qp_elements, and
+# an integer point: |x| <= 40, 0 <= x < J (where C(x, j) vanishes for
+# j > x), up to 10^6 in size, or a multiple of a power of p.
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(QP), st.data())
+def test_evaluate_at_int_matches_element_loop(desc, data):
+    coeffs = data.draw(st.lists(qp_elements(desc), max_size=12))
+    series = MahlerSeries(desc, coeffs)
+    x = data.draw(st.one_of(st.integers(-40, 40),
+                            st.integers(0, max(len(coeffs) - 2, 0)),
+                            int_operands(desc.p)))
+    got = series.evaluate(x)
+    assert got == ref_evaluate_int(series, x)
+    assert_normalised(got)
+
+
+@st.composite
+def qp_from_rationals(draw, desc):
+    """(element, the rational it approximates) at precision 1..64."""
+    q = draw(rationals(desc.p))
+    x = outcome(LocalFieldElement.from_fraction, desc, q,
+                draw(st.integers(1, 64)))
+    assume(not isinstance(x, type))
+    return x, q
+
+
+# 200 examples: p in {2, 3, 5, 7}, 1-3 variables, up to 6 terms with
+# exponents 0..4, coefficients and point from rationals at precision 1..64.
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(QP), st.integers(1, 3), st.data())
+def test_eval_cached_agrees_with_fraction_oracle(desc, nvars, data):
+    point = [data.draw(qp_from_rationals(desc)) for _ in range(nvars)]
+    exps = st.tuples(*[st.integers(0, 4)] * nvars)
+    terms = data.draw(st.dictionaries(exps, qp_from_rationals(desc),
+                                      max_size=6))
+    poly = MultiPoly(nvars, {k: c for k, (c, _) in terms.items()})
+    exact = sum((q * math.prod(qi ** k for (_, qi), k in zip(point, exp))
+                 for exp, (_, q) in terms.items()), Fraction(0))
+    assert_sound(poly.eval_cached([x for x, _ in point],
+                                  LocalFieldElement.one(desc)), exact)
+
+
+# 200 examples: p in {2, 3, 5, 7}, 0-10 coefficients from rationals at
+# precision 1..64, evaluated at an integer in -40..40, at a rational and at
+# a field point approximating a rational.
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(QP), st.data())
+def test_evaluate_agrees_with_fraction_oracle(desc, data):
+    terms = data.draw(st.lists(qp_from_rationals(desc), max_size=10))
+    series = MahlerSeries(desc, [c for c, _ in terms])
+
+    def exact(x):
+        return sum((q * binom_int(Fraction(x), j)
+                    for j, (_, q) in enumerate(terms)), Fraction(0))
+
+    n = data.draw(st.integers(-40, 40))
+    assert_sound(series.evaluate(n), exact(n))
+    r = data.draw(rationals(desc.p))
+    assert_sound(outcome(series.evaluate, r), exact(r))
+    x, qx = data.draw(qp_from_rationals(desc))
+    assert_sound(outcome(series.evaluate, x), exact(qx))
