@@ -10,11 +10,15 @@ Two point flavors share one evaluator through a small context interface:
   direction slots are themselves trees (2^n vector slots, 2^n - 1 scalars).
 
 Operator expressions (difference step, projection-back, shift) are reified
-as words and evaluated by interpretation, never compiled.
+as words and evaluated by interpretation, never compiled: one level step
+lifts a point function by one letter, and a word is that step folded over
+its letters.  One symbolic builder realizes the continuous extension at
+vanishing scalars for both flavors.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass, field
@@ -259,6 +263,19 @@ class PhiContext:
     def base_vec(pt: PhiPoint):
         return pt.x
 
+    @staticmethod
+    def variables(m: int, n: int):
+        """The point of variables (x_1..x_m; v_{1,1}..v_{n,m}; t_1..t_n),
+        numbered in that order, and their count."""
+        nv = m + n * m + n
+        var = [MultiPoly.variable(nv, i, 1) for i in range(nv)]
+        vs = tuple(tuple(var[m + k * m:m + (k + 1) * m]) for k in range(n))
+        return PhiPoint(tuple(var[:m]), vs, tuple(var[m + n * m:])), nv
+
+    @staticmethod
+    def values(pt: PhiPoint) -> list:
+        return [*pt.x, *(c for v in pt.vs for c in v), *pt.ts]
+
 
 class TreeContext:
     """Pair-tree flavor."""
@@ -278,6 +295,30 @@ class TreeContext:
         while pt.level:
             pt = pt.lower
         return pt.vec
+
+    @staticmethod
+    def variables(m: int, n: int):
+        """The tree of variables: the 2^n slots depth first, then the
+        2^n - 1 scalars in the order of TreePoint.scalars(); and their
+        count."""
+        nslots = 2 ** n
+        nv = nslots * m + nslots - 1
+        slots = iter(range(0, nslots * m, m))
+        scalars = iter(range(nslots * m, nv))
+
+        def build(level):
+            if level == 0:
+                s = next(slots)
+                return TreePoint.leaf(MultiPoly.variable(nv, s + i, 1)
+                                      for i in range(m))
+            return TreePoint(lower=build(level - 1),
+                             direction=build(level - 1),
+                             t=MultiPoly.variable(nv, next(scalars), 1))
+        return build(n), nv
+
+    @staticmethod
+    def values(pt: TreePoint) -> list:
+        return [*(c for slot in pt.slots() for c in slot), *pt.scalars()]
 
 
 def context_for(pt):
@@ -353,13 +394,6 @@ class FnRepr:
                       max(self.codim, other.codim), self.domain, None)
 
 
-def product_many(fs) -> FnRepr:
-    acc = fs[0]
-    for f in fs[1:]:
-        acc = acc.product(f)
-    return acc
-
-
 # ---------------------------------------------------------------------------
 # the two evaluators
 # ---------------------------------------------------------------------------
@@ -371,9 +405,8 @@ def phi_eval(f: FnRepr, pt: PhiPoint, check_domain: bool = True):
     symbolically (exact division by the scalar variables), which realizes
     the continuous extension.
     """
-    n = pt.level
-    if n > MAX_ORDER:
-        raise CalculusError(f"order {n} exceeds the cap {MAX_ORDER}")
+    if pt.level > MAX_ORDER:
+        raise CalculusError(f"order {pt.level} exceeds the cap {MAX_ORDER}")
     if check_domain and f.domain is not None:
         for s in pt.partial_sums():
             if not f.domain(s):
@@ -383,12 +416,7 @@ def phi_eval(f: FnRepr, pt: PhiPoint, check_domain: bool = True):
             raise ZeroDenominator(
                 "t = 0 needs a polynomial backing; eval_small_t provides the "
                 "surrogate extension for opaque evaluators")
-        sym = _phi_symbolic(f, n)
-        values = list(pt.x)
-        for v in pt.vs:
-            values.extend(v)
-        values.extend(pt.ts)
-        return sym.eval_cached(values)
+        return _symbolic(f, pt, PhiContext)
     return diff_eval(f.eval_vec, pt, PhiContext)
 
 
@@ -400,7 +428,7 @@ def eval_small_t(f: FnRepr, pt: PhiPoint):
     charges N//2 digits for each replaced level, so the returned element's
     own precision IS the documented error bound of the surrogate.
     """
-    entries = [*pt.x, *(c for v in pt.vs for c in v), *pt.ts]
+    entries = PhiContext.values(pt)
     descs = [c.desc for c in entries if isinstance(c, LocalFieldElement)]
     if not descs:
         raise CalculusError("eval_small_t needs field-valued points")
@@ -413,28 +441,19 @@ def eval_small_t(f: FnRepr, pt: PhiPoint):
     return diff_eval(f.eval_vec, PhiPoint(pt.x, pt.vs, ts), PhiContext)
 
 
-def _phi_symbolic(f: FnRepr, n: int) -> MultiPoly:
-    """Symbolic iterated quotient in variables
-    (x_1..x_m, v_{1,1}..v_{1,m}, ..., v_{n,1}..v_{n,m}, t_1..t_n)."""
-    key = ("phi", n)
-    if key in f._sym_cache:
-        return f._sym_cache[key]
-    m = f.arity
-    nv = m + n * m + n
-    xs = [MultiPoly.variable(nv, i, 1) for i in range(m)]
-    vs = [[MultiPoly.variable(nv, m + k * m + i, 1) for i in range(m)]
-          for k in range(n)]
-    ts = [MultiPoly.variable(nv, m + n * m + k, 1) for k in range(n)]
-    pt = PhiPoint(tuple(xs), tuple(tuple(v) for v in vs), tuple(ts))
-    backing = f.backing if isinstance(f.backing, MultiPoly) else _as_poly(f)
-    ext = backing.extend(nv)
-
-    def fn(vec):
-        return ext.subst({i: vec[i] for i in range(m)})
-
-    sym = diff_eval(fn, pt, PhiContext)
-    f._sym_cache[key] = sym
-    return sym
+def _symbolic(f: FnRepr, pt, ctx):
+    """The quotient at pt read off its symbolic form: the iterated quotient
+    at the context's point of variables, where each division by a scalar
+    variable is exact.  Built once per (flavor, level) and cached on f; its
+    value realizes the continuous extension at vanishing scalars."""
+    key = (ctx.flavor, pt.level)
+    sym = f._sym_cache.get(key)
+    if sym is None:
+        var_pt, nv = ctx.variables(f.arity, pt.level)
+        ext, m = _as_poly(f).extend(nv), f.arity
+        sym = f._sym_cache[key] = diff_eval(
+            lambda vec: ext.subst({i: vec[i] for i in range(m)}), var_pt, ctx)
+    return sym.eval_cached(ctx.values(pt))
 
 
 def _as_poly(f: FnRepr) -> MultiPoly:
@@ -454,55 +473,14 @@ def upsilon_eval(f: FnRepr, pt: TreePoint):
     only, so the numeric path is attempted first; a vanishing denominator
     falls back to the symbolic quotient for polynomial backings.
     """
-    n = pt.level
-    if n > MAX_ORDER:
-        raise CalculusError(f"order {n} exceeds the cap {MAX_ORDER}")
+    if pt.level > MAX_ORDER:
+        raise CalculusError(f"order {pt.level} exceeds the cap {MAX_ORDER}")
     try:
         return diff_eval(f.eval_vec, pt, TreeContext)
     except ZeroDenominator:
         if not f.is_polynomial():
             raise
-    sym = _upsilon_symbolic(f, n)
-    values = []
-    for slot in pt.slots():
-        values.extend(slot)
-    values.extend(pt.scalars())
-    return sym.eval_cached(values)
-
-
-def _upsilon_symbolic(f: FnRepr, n: int):
-    key = ("upsilon", n)
-    if key in f._sym_cache:
-        return f._sym_cache[key]
-    m = f.arity
-    nslots = 2 ** n
-    nscal = 2 ** n - 1
-    nv = nslots * m + nscal
-    slot_vars = [[MultiPoly.variable(nv, s * m + i, 1)
-                  for i in range(m)] for s in range(nslots)]
-    scal_vars = [MultiPoly.variable(nv, nslots * m + k, 1)
-                 for k in range(nscal)]
-    slot_iter = iter(slot_vars)
-    scal_iter = iter(scal_vars)
-
-    def build(level):
-        if level == 0:
-            return TreePoint.leaf(tuple(next(slot_iter)))
-        lower = build(level - 1)
-        direction = build(level - 1)
-        return TreePoint(lower=lower, direction=direction, t=next(scal_iter))
-
-    # depth-first slot order must match TreePoint.slots()/scalars()
-    pt = build(n)
-    backing = _as_poly(f)
-    ext = backing.extend(nv)
-
-    def fn(vec):
-        return ext.subst({i: vec[i] for i in range(m)})
-
-    sym = diff_eval(fn, pt, TreeContext)
-    f._sym_cache[key] = sym
-    return sym
+    return _symbolic(f, pt, TreeContext)
 
 
 # ---------------------------------------------------------------------------
@@ -612,6 +590,7 @@ def differential_eval(f: FnRepr, x, directions):
 # ---------------------------------------------------------------------------
 
 DIFF, PROJ, SHIFT = "D", "pi", "P"
+INC = "inc"  # the bare increment: a chain-rule head's new coordinate
 
 
 @dataclass(frozen=True)
@@ -659,18 +638,29 @@ class OperatorWord:
         return _apply_word(fn, self.letters, pt, ctx)
 
 
+def _step(fn, op, ctx):
+    """Lift a point function one level by a letter: at the projected-back
+    point (PROJ), at the shifted point (SHIFT), the increment between the
+    two (INC) or its difference quotient by the level scalar (DIFF).  The
+    shifted point is evaluated before the projected one."""
+    def lifted(pt):
+        lower, direction, t = ctx.split(pt)
+        if op == PROJ:
+            return fn(lower)
+        hi = fn(ctx.shift(lower, direction, t))
+        if op == SHIFT:
+            return hi
+        inc = value_sub(hi, fn(lower))
+        return inc if op == INC else scalar_div(inc, t)
+    return lifted
+
+
 def _apply_word(fn, letters, pt, ctx):
-    if not letters:
-        return fn(ctx.base_vec(pt))
-    op = letters[-1]
-    lower, direction, t = ctx.split(pt)
-    if op == PROJ:
-        return _apply_word(fn, letters[:-1], lower, ctx)
-    if op == SHIFT:
-        return _apply_word(fn, letters[:-1], ctx.shift(lower, direction, t), ctx)
-    hi = _apply_word(fn, letters[:-1], ctx.shift(lower, direction, t), ctx)
-    lo = _apply_word(fn, letters[:-1], lower, ctx)
-    return scalar_div(value_sub(hi, lo), t)
+    """The word's value at pt: fn on base vectors, lifted by the letters
+    innermost first."""
+    lifted = functools.reduce(lambda g, op: _step(g, op, ctx), letters,
+                              lambda q: fn(ctx.base_vec(q)))
+    return lifted(pt)
 
 
 def product_rule_terms(k: int, n: int):
@@ -743,6 +733,30 @@ def _finish_report(op, flavor, n, lhs, rhs, detail=None) -> CheckReport:
 # product rule (two factors)
 # ---------------------------------------------------------------------------
 
+def _flavor_context(pt, flavor: str):
+    """The evaluation context of pt, which must match the check's flavor."""
+    ctx = context_for(pt)
+    if (flavor == "upsilon") != (ctx is TreeContext):
+        raise ShapeMismatch(f"{flavor} flavor needs a matching point type")
+    return ctx
+
+
+def _word_sum(fs, names, pt, ctx, detail):
+    """The product-rule expansion: over all terms, the product of each
+    factor's operator word at pt.  With a detail list, each term's words
+    (named by names) and value are recorded there."""
+    rhs = None
+    for choices in product_rule_terms(len(fs), pt.level):
+        words = term_words(choices, len(fs))
+        term = functools.reduce(value_mul, [w.apply(f.eval_vec, pt, ctx)
+                                            for w, f in zip(words, fs)])
+        if detail is not None:
+            detail.append(tuple(map(OperatorWord.pretty, words, names))
+                          + (repr(term),))
+        rhs = term if rhs is None else value_add(rhs, term)
+    return rhs
+
+
 def leibniz_check(f: FnRepr, g: FnRepr, pt, flavor: str = "upsilon",
                   collect_terms: bool = False) -> CheckReport:
     """Difference-quotient product rule at a point.
@@ -754,25 +768,15 @@ def leibniz_check(f: FnRepr, g: FnRepr, pt, flavor: str = "upsilon",
     quotients of f at (x; v_J; t_J) times quotients of g based at
     x + sum_{j in J} v_j t_j.
     """
-    ctx = context_for(pt)
-    if (flavor == "upsilon") != (ctx is TreeContext):
-        raise ShapeMismatch(f"{flavor} flavor needs a matching point type")
-    n = pt.level
+    ctx = _flavor_context(pt, flavor)
     lhs = diff_eval(f.product(g).eval_vec, pt, ctx)
     detail = []
+    sink = detail if collect_terms else None
     if flavor == "upsilon":
-        rhs = None
-        for choices in product_rule_terms(2, n):
-            wf, wg = term_words(choices, 2)
-            a = wf.apply(f.eval_vec, pt, ctx)
-            b = wg.apply(g.eval_vec, pt, ctx)
-            term = value_mul(a, b)
-            if collect_terms:
-                detail.append((wf.pretty("f"), wg.pretty("g"), repr(term)))
-            rhs = term if rhs is None else value_add(rhs, term)
+        rhs = _word_sum((f, g), ("f", "g"), pt, ctx, sink)
     else:
-        rhs = phi_leibniz_subset_sum(f, g, pt, detail if collect_terms else None)
-    return _finish_report("leibniz", flavor, n, lhs, rhs, detail)
+        rhs = phi_leibniz_subset_sum(f, g, pt, sink)
+    return _finish_report("leibniz", flavor, pt.level, lhs, rhs, detail)
 
 
 def phi_leibniz_subset_sum(f: FnRepr, g: FnRepr, pt: PhiPoint, detail=None):
@@ -805,25 +809,12 @@ def leibniz_multi_check(fs, pt, flavor: str = "upsilon",
     """k-factor product rule: at every step exactly one factor takes the
     difference step, everything left of it projects back, everything right
     of it shifts."""
-    ctx = context_for(pt)
-    if (flavor == "upsilon") != (ctx is TreeContext):
-        raise ShapeMismatch(f"{flavor} flavor needs a matching point type")
-    n = pt.level
-    k = len(fs)
-    lhs = diff_eval(product_many(list(fs)).eval_vec, pt, ctx)
-    rhs = None
+    ctx = _flavor_context(pt, flavor)
+    lhs = diff_eval(functools.reduce(FnRepr.product, fs).eval_vec, pt, ctx)
     detail = []
-    for choices in product_rule_terms(k, n):
-        words = term_words(choices, k)
-        vals = [w.apply(f.eval_vec, pt, ctx) for w, f in zip(words, fs)]
-        term = vals[0]
-        for v in vals[1:]:
-            term = value_mul(term, v)
-        if collect_terms:
-            detail.append(tuple(w.pretty(f"f{i + 1}")
-                                for i, w in enumerate(words)) + (repr(term),))
-        rhs = term if rhs is None else value_add(rhs, term)
-    return _finish_report("leibniz_multi", flavor, n, lhs, rhs, detail)
+    rhs = _word_sum(fs, [f"f{i + 1}" for i in range(len(fs))], pt, ctx,
+                    detail if collect_terms else None)
+    return _finish_report("leibniz_multi", flavor, pt.level, lhs, rhs, detail)
 
 
 # ---------------------------------------------------------------------------
@@ -856,58 +847,16 @@ class _Composite:
 
     def project(self, ctx) -> "_Composite":
         return _Composite(self.poly,
-                          [_wrap_lower(c, ctx) for c in self.coords])
+                          [_step(c, PROJ, ctx) for c in self.coords])
 
     def chain_step(self, ctx):
         """Yield (new head, new coordinate-quotient factor) per coordinate."""
-        c = len(self.coords)
-        for j in range(c):
-            qpoly = quotient_in_new_var(self.poly, j)
-            new_coords = []
-            for a in range(c):
-                if a <= j:
-                    new_coords.append(_wrap_lower(self.coords[a], ctx))
-                else:
-                    new_coords.append(_wrap_shift(self.coords[a], ctx))
-            new_coords.append(_increment(self.coords[j], ctx))
-            ufactor = _coordinate_quotient(self.coords[j], ctx)
-            yield _Composite(qpoly, new_coords), ufactor
-
-
-def _wrap_lower(coord, ctx):
-    def wrapped(pt):
-        return coord(ctx.split(pt)[0])
-    return wrapped
-
-
-def _wrap_shift(coord, ctx):
-    def wrapped(pt):
-        lower, direction, t = ctx.split(pt)
-        return coord(ctx.shift(lower, direction, t))
-    return wrapped
-
-
-def _increment(coord, ctx):
-    def wrapped(pt):
-        lower, direction, t = ctx.split(pt)
-        return coord(ctx.shift(lower, direction, t)) - coord(lower)
-    return wrapped
-
-
-def _coordinate_quotient(coord, ctx):
-    def wrapped(pt):
-        lower, direction, t = ctx.split(pt)
-        num = coord(ctx.shift(lower, direction, t)) - coord(lower)
-        return scalar_div(num, t)
-    return wrapped
-
-
-def _step_factor(fac, op, ctx):
-    if op == PROJ:
-        return _wrap_lower(fac, ctx)
-    if op == SHIFT:
-        return _wrap_shift(fac, ctx)
-    return _coordinate_quotient(fac, ctx)
+        for j, cj in enumerate(self.coords):
+            new_coords = [_step(c, PROJ if a <= j else SHIFT, ctx)
+                          for a, c in enumerate(self.coords)]
+            new_coords.append(_step(cj, INC, ctx))
+            yield (_Composite(quotient_in_new_var(self.poly, j), new_coords),
+                   _step(cj, DIFF, ctx))
 
 
 def chain_rhs_terms(f: FnRepr, u_polys, n: int, ctx):
@@ -926,14 +875,13 @@ def chain_rhs_terms(f: FnRepr, u_polys, n: int, ctx):
             # the difference step hits the head: coordinate split
             for new_head, ufactor in head.chain_step(ctx):
                 new_terms.append(
-                    (new_head,
-                     [ufactor] + [_step_factor(g, SHIFT, ctx) for g in factors]))
+                    (new_head, [ufactor] + [_step(g, SHIFT, ctx)
+                                            for g in factors]))
             # the difference step hits scalar factor a
             for a in range(len(factors)):
-                wrapped = []
-                for b, g in enumerate(factors):
-                    op = PROJ if b < a else (DIFF if b == a else SHIFT)
-                    wrapped.append(_step_factor(g, op, ctx))
+                wrapped = [_step(g, PROJ if b < a else
+                                 (DIFF if b == a else SHIFT), ctx)
+                           for b, g in enumerate(factors)]
                 new_terms.append((head.project(ctx), wrapped))
         terms = new_terms
     return terms
@@ -945,9 +893,7 @@ def chain_check(f: FnRepr, u, pt, flavor: str = "upsilon") -> CheckReport:
 
     n <= 3 is supported (the expansion is assembled recursively; term count
     grows with the coordinate budget m + step)."""
-    ctx = context_for(pt)
-    if (flavor == "upsilon") != (ctx is TreeContext):
-        raise ShapeMismatch(f"{flavor} flavor needs a matching point type")
+    ctx = _flavor_context(pt, flavor)
     n = pt.level
     if n > 3:
         raise CalculusError("chain expansion is implemented for n <= 3")

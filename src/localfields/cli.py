@@ -138,7 +138,8 @@ def emit_tables(kind: str, bound: int) -> str:
     _count("--bound", bound)
     lines = []
     if kind in ("S", "T"):
-        tables = mahler.stirling_tables(bound)
+        with _bad_input(mahler.BoundExceeded):
+            tables = mahler.stirling_tables(bound)
         if kind == "T":
             lines.append("n\\k," + ",".join(str(k) for k in range(bound + 1)))
             for n in range(bound + 1):
@@ -291,7 +292,7 @@ def cmd_tower(ns) -> int:
                           "inverse_ok": rep["inverse_ok"]}))
         return 0 if ok else 1
     if ns.action == "witness":
-        with _bad_input(tower.ConstraintViolated):
+        with _bad_input(tower.ConstraintViolated, tower.LevelTooLarge):
             f, rec = tower.witness_flat_polynomial(ns.prime, ns.k,
                                                    precision=ns.precision)
         print(json.dumps(rec))
@@ -405,7 +406,8 @@ def cmd_oneparam(ns) -> int:
             groups = [(s_v, oneparam.ball_group(ns.s, s_v, p, u))
                       for s_v in (int(t) for t in ns.levels.split(","))]
         for s_v, G in groups:
-            sigma = tower.level_project(g, s_v, precision=ns.precision)
+            with _bad_input(tower.LevelTooLarge):
+                sigma = tower.level_project(g, s_v, precision=ns.precision)
             levels.append(oneparam.eta_construct(sigma, G.from_field(x0f), G))
         try:
             rep = oneparam.lift_check(levels, desc)
@@ -516,10 +518,7 @@ def main(argv=None) -> int:
         "loop": cmd_loop,
     }
     if ns.command == "tables":
-        try:
-            _emit(emit_tables(ns.kind, ns.bound), ns.out)
-        except mahler.BoundExceeded as exc:
-            raise SystemExit2(str(exc))
+        _emit(emit_tables(ns.kind, ns.bound), ns.out)
         return 0
     return handlers[ns.command](ns)
 

@@ -608,9 +608,11 @@ def invert(f: MahlerSeries, K: int, verify_precision: int | None = None
     """Compositional inverse coefficients up to K via the truncated linear
     system  delta_{k,1} = sum_n (f^{-1})_n * Delta^k C(f(x), n)|_0.
 
-    The truncation has no a priori error analysis, so the result is
-    certified ONLY by the composition round-trip, which this function
-    performs (raising SingularSystem when the check fails).
+    The truncation has no a priori error analysis.  The composition round
+    trip this function performs (raising SingularSystem when it fails) is a
+    residual check, not a truncation certificate: row k of the system is
+    coefficient k of compose(inverse, f), so it re-checks the equations just
+    solved and says nothing about the coefficients past K.
     """
     if not admissible_for_inversion(f):
         raise SingularSystem("series is not an admissible near-identity map")

@@ -18,6 +18,8 @@ from .fields import (DEFAULT_PRECISION, FieldDescriptor, LocalFieldElement,
                      project_down)
 from .poly import MultiPoly
 
+MAX_LEVEL_CLASSES = 10 ** 6  # largest residue ring a level enumerates
+
 
 class TowerError(Exception):
     pass
@@ -48,6 +50,10 @@ class TooSmall(TowerError):
 
 
 class Incompatible(TowerError):
+    pass
+
+
+class LevelTooLarge(TowerError):
     pass
 
 
@@ -107,6 +113,10 @@ class Domain:
         if k < self.max_radius_level():
             raise TowerError(
                 f"level {k} is coarser than a ball of the domain")
+        if self.desc.residue_cardinality(k) > MAX_LEVEL_CLASSES:
+            raise LevelTooLarge(
+                f"level {k} has {self.desc.residue_size}^{k} residue classes,"
+                f" more than the {MAX_LEVEL_CLASSES} a level enumerates")
         ring = ResidueRing(self.desc, k)
         out = set()
         for b in self.balls:
@@ -463,13 +473,17 @@ def witness_flat_polynomial(p: int, k: int, coeff_spec=None,
     poly = MultiPoly(1, terms)
     f = DiffRepr.from_poly(desc, poly, Domain.units(desc), 1,
                            f"flat-witness(p={p},k={k})")
+    # the search level's classes are listed first, so that a level too
+    # large to enumerate is rejected before the level-k table is built
+    search = min(k + 3, precision - 1)
+    codes = f.domain.residues(search)
     # exhaustive level-k identity check over the units
     table = level_project(f, k, reps_per_class=None, precision=precision)
     identity_ok = table.is_identity()
     # a point where f visibly moves: search unit lifts at higher precision
     witness_point = None
-    for code in f.domain.residues(min(k + 3, precision - 1)):
-        x = ResidueRing(desc, min(k + 3, precision - 1)).lift(code, precision)
+    for code in codes:
+        x = ResidueRing(desc, search).lift(code, precision)
         d = f.evaluate(x) - x
         if not d.is_zero() and d.valuation < precision - 1:
             witness_point = (code, d.valuation)

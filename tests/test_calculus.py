@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from localfields.calculus import (CharacteristicObstruction, DomainViolation,
                                   FnRepr, OperatorWord, PhiPoint, SamplerSpec,
@@ -16,9 +18,13 @@ from localfields.calculus import (CharacteristicObstruction, DomainViolation,
                                   leibniz_multi_check, phi_eval,
                                   product_rule_terms, run_fixture_file,
                                   run_fixture_line, term_words, upsilon_eval)
+from localfields.calculus import (PhiContext, TreeContext, _as_poly,
+                                  chain_rhs_terms, is_zero_scalar,
+                                  phi_leibniz_subset_sum, scalar_div,
+                                  value_add, value_mul, value_sub)
 from localfields.fields import LocalFieldElement, laurent, padic
 from localfields.funcspec import parse_poly
-from localfields.poly import MultiPoly
+from localfields.poly import MultiPoly, quotient_in_new_var
 
 F = Fraction
 D2, D3, D5 = padic(2), padic(3), padic(5)
@@ -486,3 +492,360 @@ class TestTreeShapes:
             pt = rand_tree(rng, n)
             assert len(list(pt.slots())) == 2 ** n
             assert len(list(pt.scalars())) == 2 ** n - 1
+
+
+# ---------------------------------------------------------------------------
+# differential tests: the level-step primitive, the symbolic quotient and
+# the shared product-rule expansion against the per-case implementations
+# they replaced, kept below as ref_* (exact ==, exception types included)
+# ---------------------------------------------------------------------------
+
+def ref_apply_word(fn, letters, pt, ctx):
+    if not letters:
+        return fn(ctx.base_vec(pt))
+    op = letters[-1]
+    lower, direction, t = ctx.split(pt)
+    if op == "pi":
+        return ref_apply_word(fn, letters[:-1], lower, ctx)
+    if op == "P":
+        return ref_apply_word(fn, letters[:-1],
+                              ctx.shift(lower, direction, t), ctx)
+    hi = ref_apply_word(fn, letters[:-1], ctx.shift(lower, direction, t), ctx)
+    lo = ref_apply_word(fn, letters[:-1], lower, ctx)
+    return scalar_div(value_sub(hi, lo), t)
+
+
+def ref_diff_eval(fn, pt, ctx):
+    return ref_apply_word(fn, ("D",) * pt.level, pt, ctx)
+
+
+def ref_phi_symbolic(f, n):
+    m = f.arity
+    nv = m + n * m + n
+    xs = [MultiPoly.variable(nv, i, 1) for i in range(m)]
+    vs = [[MultiPoly.variable(nv, m + k * m + i, 1) for i in range(m)]
+          for k in range(n)]
+    ts = [MultiPoly.variable(nv, m + n * m + k, 1) for k in range(n)]
+    pt = PhiPoint(tuple(xs), tuple(tuple(v) for v in vs), tuple(ts))
+    ext = _as_poly(f).extend(nv)
+    return ref_diff_eval(lambda vec: ext.subst({i: vec[i] for i in range(m)}),
+                         pt, PhiContext)
+
+
+def ref_upsilon_symbolic(f, n):
+    m = f.arity
+    nslots = 2 ** n
+    nv = nslots * m + 2 ** n - 1
+    slot_iter = iter([[MultiPoly.variable(nv, s * m + i, 1)
+                       for i in range(m)] for s in range(nslots)])
+    scal_iter = iter([MultiPoly.variable(nv, nslots * m + k, 1)
+                      for k in range(2 ** n - 1)])
+
+    def build(level):
+        if level == 0:
+            return TreePoint.leaf(tuple(next(slot_iter)))
+        lower = build(level - 1)
+        direction = build(level - 1)
+        return TreePoint(lower=lower, direction=direction, t=next(scal_iter))
+
+    pt = build(n)
+    ext = _as_poly(f).extend(nv)
+    return ref_diff_eval(lambda vec: ext.subst({i: vec[i] for i in range(m)}),
+                         pt, TreeContext)
+
+
+def ref_phi_eval(f, pt):
+    if any(is_zero_scalar(t) for t in pt.ts):
+        if not f.is_polynomial():
+            raise ZeroDenominator("opaque backing at t = 0")
+        values = list(pt.x)
+        for v in pt.vs:
+            values.extend(v)
+        values.extend(pt.ts)
+        return ref_phi_symbolic(f, pt.level).eval_cached(values)
+    return ref_diff_eval(f.eval_vec, pt, PhiContext)
+
+
+def ref_upsilon_eval(f, pt):
+    try:
+        return ref_diff_eval(f.eval_vec, pt, TreeContext)
+    except ZeroDenominator:
+        if not f.is_polynomial():
+            raise
+    values = []
+    for slot in pt.slots():
+        values.extend(slot)
+    values.extend(pt.scalars())
+    return ref_upsilon_symbolic(f, pt.level).eval_cached(values)
+
+
+def ref_wrap_lower(coord, ctx):
+    def wrapped(pt):
+        return coord(ctx.split(pt)[0])
+    return wrapped
+
+
+def ref_wrap_shift(coord, ctx):
+    def wrapped(pt):
+        lower, direction, t = ctx.split(pt)
+        return coord(ctx.shift(lower, direction, t))
+    return wrapped
+
+
+def ref_increment(coord, ctx):
+    def wrapped(pt):
+        lower, direction, t = ctx.split(pt)
+        return coord(ctx.shift(lower, direction, t)) - coord(lower)
+    return wrapped
+
+
+def ref_coordinate_quotient(coord, ctx):
+    def wrapped(pt):
+        lower, direction, t = ctx.split(pt)
+        num = coord(ctx.shift(lower, direction, t)) - coord(lower)
+        return scalar_div(num, t)
+    return wrapped
+
+
+def ref_step_factor(fac, op, ctx):
+    if op == "pi":
+        return ref_wrap_lower(fac, ctx)
+    if op == "P":
+        return ref_wrap_shift(fac, ctx)
+    return ref_coordinate_quotient(fac, ctx)
+
+
+def ref_chain_rhs_terms(f, u_polys, n, ctx):
+    """(head polynomial, head coordinates, scalar factors) per term."""
+    base = [lambda pt, _up=up: _up.eval_cached(list(ctx.base_vec(pt)))
+            for up in u_polys]
+    terms = [(f.backing, base, [])]
+    for _ in range(n):
+        new_terms = []
+        for poly, coords, factors in terms:
+            for j in range(len(coords)):
+                new_coords = [ref_wrap_lower(c, ctx) if a <= j
+                              else ref_wrap_shift(c, ctx)
+                              for a, c in enumerate(coords)]
+                new_coords.append(ref_increment(coords[j], ctx))
+                new_terms.append(
+                    (quotient_in_new_var(poly, j), new_coords,
+                     [ref_coordinate_quotient(coords[j], ctx)] +
+                     [ref_step_factor(g, "P", ctx) for g in factors]))
+            for a in range(len(factors)):
+                wrapped = [ref_step_factor(
+                    g, "pi" if b < a else ("D" if b == a else "P"), ctx)
+                    for b, g in enumerate(factors)]
+                new_terms.append(
+                    (poly, [ref_wrap_lower(c, ctx) for c in coords], wrapped))
+        terms = new_terms
+    return terms
+
+
+def ref_term_value(poly, coords, factors, pt):
+    term = poly.eval_cached([c(pt) for c in coords])
+    for g in factors:
+        term = term * g(pt)
+    return term
+
+
+def ref_leibniz_rhs(f, g, pt, ctx, detail):
+    rhs = None
+    for choices in product_rule_terms(2, pt.level):
+        wf, wg = term_words(choices, 2)
+        a = ref_apply_word(f.eval_vec, wf.letters, pt, ctx)
+        b = ref_apply_word(g.eval_vec, wg.letters, pt, ctx)
+        term = value_mul(a, b)
+        detail.append((wf.pretty("f"), wg.pretty("g"), repr(term)))
+        rhs = term if rhs is None else value_add(rhs, term)
+    return rhs
+
+
+def ref_leibniz_multi_rhs(fs, pt, ctx, detail):
+    rhs = None
+    for choices in product_rule_terms(len(fs), pt.level):
+        words = term_words(choices, len(fs))
+        vals = [ref_apply_word(f.eval_vec, w.letters, pt, ctx)
+                for w, f in zip(words, fs)]
+        term = vals[0]
+        for v in vals[1:]:
+            term = value_mul(term, v)
+        detail.append(tuple(w.pretty(f"f{i + 1}")
+                            for i, w in enumerate(words)) + (repr(term),))
+        rhs = term if rhs is None else value_add(rhs, term)
+    return rhs
+
+
+def outcome(thunk):
+    """A value, or the type of the exception raised instead."""
+    try:
+        return ("value", thunk())
+    except Exception as exc:  # noqa: BLE001 - the type is the outcome
+        return ("raised", type(exc))
+
+
+DIFF_FIELDS = [padic(2), padic(3), padic(5), laurent(2)]
+DIFF_N = 12
+
+
+@st.composite
+def field_scalars(draw, desc):
+    """Exact zeros, apparent zeros, units and small nonunits."""
+    kind = draw(st.sampled_from(["zero", "apparent"] + ["int"] * 4))
+    if kind == "zero":
+        return LocalFieldElement.zero(desc)
+    if kind == "apparent":
+        return LocalFieldElement.apparent_zero(desc, draw(st.integers(1, 8)))
+    if desc.family == "padic":
+        return LocalFieldElement.from_int(desc, draw(st.integers(-7, 7)),
+                                          DIFF_N)
+    val = draw(st.integers(0, 2))
+    q = desc.residue_size
+    digits = draw(st.lists(st.integers(0, q - 1), min_size=1, max_size=3))
+    return LocalFieldElement.from_laurent_coeffs(desc, val, digits, DIFF_N)
+
+
+@st.composite
+def field_polys(draw, desc, nvars):
+    exps = st.tuples(*[st.integers(0, 3)] * nvars)
+    terms = draw(st.dictionaries(exps, field_scalars(desc), max_size=3))
+    return MultiPoly(nvars, terms)
+
+
+@st.composite
+def field_fns(draw, desc, arity, vector_ok=True):
+    if vector_ok and draw(st.booleans()) and draw(st.booleans()):
+        return FnRepr(arity, [draw(field_polys(desc, arity))
+                              for _ in range(2)], codim=2)
+    return FnRepr.poly(draw(field_polys(desc, arity)))
+
+
+@st.composite
+def field_trees(draw, desc, level, dim):
+    if level == 0:
+        return TreePoint.leaf(tuple(draw(field_scalars(desc))
+                                    for _ in range(dim)))
+    return TreePoint(lower=draw(field_trees(desc, level - 1, dim)),
+                     direction=draw(field_trees(desc, level - 1, dim)),
+                     t=draw(field_scalars(desc)))
+
+
+@st.composite
+def field_points(draw, desc, n, dim, flavor):
+    """Flat points, or tree points either drawn freely or embedded."""
+    def vec():
+        return tuple(draw(field_scalars(desc)) for _ in range(dim))
+    if flavor == "upsilon" and draw(st.booleans()):
+        return draw(field_trees(desc, n, dim))
+    flat = PhiPoint(vec(), tuple(vec() for _ in range(n)),
+                    tuple(draw(field_scalars(desc)) for _ in range(n)))
+    return flat if flavor == "phi" else embed_phi_point(flat)
+
+
+def _diff_case(data, symbolic=False):
+    """Field, level, dimension, flavor, point and context of one example.
+    The symbolic tree quotient at n = 3 has 2^3 * m + 7 variables, and at
+    m = 2 one build takes minutes, so examples that may reach it keep m = 1
+    there."""
+    desc = data.draw(st.sampled_from(DIFF_FIELDS))
+    n = data.draw(st.integers(1, 3))
+    flavor = data.draw(st.sampled_from(["phi", "upsilon"]))
+    dim = 1 if symbolic and flavor == "upsilon" and n == 3 \
+        else data.draw(st.integers(1, 2))
+    pt = data.draw(field_points(desc, n, dim, flavor))
+    ctx = TreeContext if flavor == "upsilon" else PhiContext
+    return desc, n, dim, flavor, pt, ctx
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_words_and_quotients_match_reference(data):
+    desc, n, dim, flavor, pt, ctx = _diff_case(data, symbolic=True)
+    f = data.draw(field_fns(desc, dim))
+    letters = tuple(data.draw(st.lists(st.sampled_from(["D", "pi", "P"]),
+                                       min_size=n, max_size=n)))
+    assert outcome(lambda: OperatorWord(letters).apply(f.eval_vec, pt, ctx)) \
+        == outcome(lambda: ref_apply_word(f.eval_vec, letters, pt, ctx))
+    assert outcome(lambda: diff_eval(f.eval_vec, pt)) \
+        == outcome(lambda: ref_diff_eval(f.eval_vec, pt, ctx))
+    if flavor == "phi":
+        new, ref = (lambda: phi_eval(f, pt)), (lambda: ref_phi_eval(f, pt))
+    else:
+        new = lambda: upsilon_eval(f, pt)  # noqa: E731
+        ref = lambda: ref_upsilon_eval(f, pt)  # noqa: E731
+    got = outcome(new)
+    event(f"{flavor} quotient: {got[0]} {getattr(got[1], '__name__', '')}")
+    assert got == outcome(ref)
+    # a second call answers from the cached symbolic quotient
+    assert outcome(new) == outcome(ref)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_product_rules_match_reference(data):
+    desc, n, dim, flavor, pt, ctx = _diff_case(data)
+    f = data.draw(field_fns(desc, dim))
+    g = data.draw(field_fns(desc, dim, vector_ok=f.codim == 1))
+
+    def ref_two():
+        detail = []
+        lhs = ref_diff_eval(f.product(g).eval_vec, pt, ctx)
+        rhs = (ref_leibniz_rhs(f, g, pt, ctx, detail) if flavor == "upsilon"
+               else phi_leibniz_subset_sum(f, g, pt, detail))
+        return lhs, rhs, detail
+
+    def new_two():
+        rep = leibniz_check(f, g, pt, flavor, collect_terms=True)
+        return rep.lhs, rep.rhs, rep.detail
+
+    got = outcome(new_two)
+    event(f"{flavor} leibniz: {got[0]} {getattr(got[1], '__name__', '')}")
+    assert got == outcome(ref_two)
+    fs = [f] + [data.draw(field_fns(desc, dim, vector_ok=False))
+                for _ in range(data.draw(st.integers(0, 2)))]
+
+    def ref_multi():
+        detail = []
+        prod = fs[0]
+        for h in fs[1:]:
+            prod = prod.product(h)
+        lhs = ref_diff_eval(prod.eval_vec, pt, ctx)
+        return lhs, ref_leibniz_multi_rhs(fs, pt, ctx, detail), detail
+
+    def new_multi():
+        rep = leibniz_multi_check(fs, pt, flavor, collect_terms=True)
+        return rep.lhs, rep.rhs, rep.detail
+
+    assert outcome(new_multi) == outcome(ref_multi)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_chain_rule_matches_reference(data):
+    desc, n, dim, flavor, pt, ctx = _diff_case(data)
+    c = data.draw(st.integers(1, 2))
+    f = FnRepr.poly(data.draw(field_polys(desc, c)))
+    u = [data.draw(field_polys(desc, dim)) for _ in range(c)]
+
+    def ref_chain():
+        lhs = ref_diff_eval(
+            lambda vec: f.eval_vec(tuple(up.eval_cached(list(vec))
+                                         for up in u)), pt, ctx)
+        rhs = None
+        for term in ref_chain_rhs_terms(f, u, n, ctx):
+            value = ref_term_value(*term, pt)
+            rhs = value if rhs is None else rhs + value
+        return lhs, rhs
+
+    def new_chain():
+        rep = chain_check(f, u, pt, flavor)
+        return rep.lhs, rep.rhs
+
+    got = outcome(new_chain)
+    event(f"{flavor} chain: {got[0]} {getattr(got[1], '__name__', '')}")
+    assert got == outcome(ref_chain)
+    new_terms = [outcome(lambda: ref_term_value(h.poly, h.coords, fac, pt))
+                 for h, fac in chain_rhs_terms(f, u, n, ctx)]
+    ref_terms = [outcome(lambda: ref_term_value(*term, pt))
+                 for term in ref_chain_rhs_terms(f, u, n, ctx)]
+    assert new_terms == ref_terms

@@ -275,13 +275,24 @@ class TestUsageErrors:
         ("mahler", "compose", "--outer", "p=3 N=8 coeffs=[0,1]",
          "--inner", "p=5 N=8 coeffs=[0,1]"),
         ("mahler", "expand", "--fn", "x", "-J", "-1"),
+        ("tables", "--kind", "S", "--bound", "65"),
+        ("mahler", "tables", "--kind", "S", "--bound", "65"),
+        ("tower", "check", "--fn", "x", "--gn", "x", "-k", "40"),
+        ("tower", "project", "x", "-k", "40"),
+        ("tower", "thread", "x", "--levels", "1,40"),
+        ("tower", "witness", "-k", "40"),
+        ("-p", "5", "tower", "witness", "-k", "7"),
+        ("oneparam", "lift", "--levels", "40"),
     ], ids=["composite-prime", "zero-denominator", "zero-precision",
             "bad-point", "zero-level", "bad-levels", "bad-perm",
             "bad-order", "zero-ball-radius", "critical-inverse",
             "non-bijective-check", "lift-zero-radius", "lift-zero-level",
             "lift-bad-levels", "negative-table-bound",
             "negative-invert-order", "negative-loop-size",
-            "compose-across-fields", "negative-expand-order"])
+            "compose-across-fields", "negative-expand-order",
+            "table-bound-cap", "mahler-table-bound-cap", "huge-level-check",
+            "huge-level-project", "huge-level-thread", "huge-level-witness",
+            "huge-witness-search-level", "huge-level-lift"])
     def test_bad_input_is_one_line_error(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
