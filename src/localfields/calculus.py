@@ -12,8 +12,8 @@ Two point flavors share one evaluator through a small context interface:
 Operator expressions (difference step, projection-back, shift) are reified
 as words and evaluated by interpretation, never compiled: one level step
 lifts a point function by one letter, and a word is that step folded over
-its letters.  One symbolic builder realizes the continuous extension at
-vanishing scalars for both flavors.
+its letters.  One symbolic builder, on flat points, realizes the
+continuous extension at vanishing scalars; tree points reach it at level 1.
 """
 
 from __future__ import annotations
@@ -248,8 +248,6 @@ class PhiContext:
     """Flat flavor: level step consumes the last (v, t); the shift moves the
     base point only."""
 
-    flavor = "phi"
-
     @staticmethod
     def split(pt: PhiPoint):
         return (PhiPoint(pt.x, pt.vs[:-1], pt.ts[:-1]), pt.vs[-1], pt.ts[-1])
@@ -280,8 +278,6 @@ class PhiContext:
 class TreeContext:
     """Pair-tree flavor."""
 
-    flavor = "upsilon"
-
     @staticmethod
     def split(pt: TreePoint):
         return (pt.lower, pt.direction, pt.t)
@@ -295,30 +291,6 @@ class TreeContext:
         while pt.level:
             pt = pt.lower
         return pt.vec
-
-    @staticmethod
-    def variables(m: int, n: int):
-        """The tree of variables: the 2^n slots depth first, then the
-        2^n - 1 scalars in the order of TreePoint.scalars(); and their
-        count."""
-        nslots = 2 ** n
-        nv = nslots * m + nslots - 1
-        slots = iter(range(0, nslots * m, m))
-        scalars = iter(range(nslots * m, nv))
-
-        def build(level):
-            if level == 0:
-                s = next(slots)
-                return TreePoint.leaf(MultiPoly.variable(nv, s + i, 1)
-                                      for i in range(m))
-            return TreePoint(lower=build(level - 1),
-                             direction=build(level - 1),
-                             t=MultiPoly.variable(nv, next(scalars), 1))
-        return build(n), nv
-
-    @staticmethod
-    def values(pt: TreePoint) -> list:
-        return [*(c for slot in pt.slots() for c in slot), *pt.scalars()]
 
 
 def context_for(pt):
@@ -416,7 +388,7 @@ def phi_eval(f: FnRepr, pt: PhiPoint, check_domain: bool = True):
             raise ZeroDenominator(
                 "t = 0 needs a polynomial backing; eval_small_t provides the "
                 "surrogate extension for opaque evaluators")
-        return _symbolic(f, pt, PhiContext)
+        return _symbolic(f, pt)
     return diff_eval(f.eval_vec, pt, PhiContext)
 
 
@@ -441,19 +413,19 @@ def eval_small_t(f: FnRepr, pt: PhiPoint):
     return diff_eval(f.eval_vec, PhiPoint(pt.x, pt.vs, ts), PhiContext)
 
 
-def _symbolic(f: FnRepr, pt, ctx):
-    """The quotient at pt read off its symbolic form: the iterated quotient
-    at the context's point of variables, where each division by a scalar
-    variable is exact.  Built once per (flavor, level) and cached on f; its
+def _symbolic(f: FnRepr, pt: PhiPoint):
+    """The quotient at a flat point read off its symbolic form: the
+    iterated quotient at the point of variables, where each division by a
+    scalar variable is exact.  Built once per level and cached on f; its
     value realizes the continuous extension at vanishing scalars."""
-    key = (ctx.flavor, pt.level)
-    sym = f._sym_cache.get(key)
+    sym = f._sym_cache.get(pt.level)
     if sym is None:
-        var_pt, nv = ctx.variables(f.arity, pt.level)
+        var_pt, nv = PhiContext.variables(f.arity, pt.level)
         ext, m = _as_poly(f).extend(nv), f.arity
-        sym = f._sym_cache[key] = diff_eval(
-            lambda vec: ext.subst({i: vec[i] for i in range(m)}), var_pt, ctx)
-    return sym.eval_cached(ctx.values(pt))
+        sym = f._sym_cache[pt.level] = diff_eval(
+            lambda vec: ext.subst({i: vec[i] for i in range(m)}), var_pt,
+            PhiContext)
+    return sym.eval_cached(PhiContext.values(pt))
 
 
 def _as_poly(f: FnRepr) -> MultiPoly:
@@ -470,8 +442,11 @@ def upsilon_eval(f: FnRepr, pt: TreePoint):
     """Iterated quotient at a pair-tree point.
 
     Divisions happen by the spine scalars and their shifted combinations
-    only, so the numeric path is attempted first; a vanishing denominator
-    falls back to the symbolic quotient for polynomial backings.
+    only, so the numeric path is attempted first.  A vanishing denominator
+    at level 1 falls back to the flat symbolic quotient (same variables in
+    the same order) for polynomial backings.  Above level 1 a shifted
+    spine scalar t + t' s is never a bare variable, so no exact symbolic
+    division exists and the zero denominator stands.
     """
     if pt.level > MAX_ORDER:
         raise CalculusError(f"order {pt.level} exceeds the cap {MAX_ORDER}")
@@ -480,7 +455,10 @@ def upsilon_eval(f: FnRepr, pt: TreePoint):
     except ZeroDenominator:
         if not f.is_polynomial():
             raise
-    return _symbolic(f, pt, TreeContext)
+    _as_poly(f)  # a backing with no polynomial form raises CalculusError
+    if pt.level > 1:
+        raise ZeroDenominator("symbolic division only by a bare variable")
+    return _symbolic(f, PhiPoint(pt.lower.vec, (pt.direction.vec,), (pt.t,)))
 
 
 # ---------------------------------------------------------------------------
@@ -810,6 +788,8 @@ def leibniz_multi_check(fs, pt, flavor: str = "upsilon",
     difference step, everything left of it projects back, everything right
     of it shifts."""
     ctx = _flavor_context(pt, flavor)
+    if not fs:
+        raise ShapeMismatch("the product rule needs at least one factor")
     lhs = diff_eval(functools.reduce(FnRepr.product, fs).eval_vec, pt, ctx)
     detail = []
     rhs = _word_sum(fs, [f"f{i + 1}" for i in range(len(fs))], pt, ctx,

@@ -7,17 +7,28 @@ Exit codes: 0 all checks pass, 1 a check failed, 2 usage or input error.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import os
 import sys
 
 from . import calculus, loops, mahler, oneparam, suites, tower
-from .fields import (DEFAULT_PRECISION, FieldError, LocalFieldElement,
+from .fields import (DEFAULT_PRECISION, LocalFieldElement, ResidueRing,
                      format_element, laurent, padic)
-from .funcspec import SpecError, parse_poly
+from .funcspec import parse_poly
 
 ENV_PREFIX = "LOCALFIELDS_"
+
+
+class UsageError(Exception):
+    """A command line rejected before any computation: a missing argument,
+    or a count out of range."""
+
+
+# every error that input alone can cause; main reports one of these as a
+# one-line usage error, anything else is a programming error and keeps its
+# traceback
+INPUT_ERRORS = (ValueError, ZeroDivisionError, KeyError, OSError,
+                mahler.BoundExceeded, UsageError, *suites.PACKAGE_ERRORS)
 
 
 def _env_default(name: str, fallback):
@@ -52,6 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="run verification suites")
     run.add_argument("--suite", default=_env_default("suite", "all"),
                      help="suite name, comma list, 'all' or 'none'")
+    run.set_defaults(handler=cmd_run)
 
     mp = sub.add_parser("mahler", parents=[after],
                         help="Mahler-basis computations")
@@ -67,6 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     mp.add_argument("-K", type=int, default=8)
     mp.add_argument("--kind", choices=["S", "T", "Omega"], default="T")
     mp.add_argument("--bound", type=int, default=8)
+    mp.set_defaults(handler=cmd_mahler)
 
     tw = sub.add_parser("tower", parents=[after],
                         help="residue tower computations")
@@ -83,12 +96,14 @@ def build_parser() -> argparse.ArgumentParser:
                     default="cycles")
     tw.add_argument("--units", action="store_true",
                     help="restrict the domain to |x| = 1")
+    tw.set_defaults(handler=cmd_tower)
 
     ca = sub.add_parser("calculus", parents=[after],
                         help="difference-quotient checks")
     ca.add_argument("action", choices=["leibniz", "multi", "chain", "check"])
     ca.add_argument("args", nargs="*", help="key=value fixture fields")
     ca.add_argument("--fixtures", default="")
+    ca.set_defaults(handler=cmd_calculus)
 
     op = sub.add_parser("oneparam", parents=[after],
                         help="one-parameter subgroup checks")
@@ -103,6 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     op.add_argument("--fn", default="")
     op.add_argument("--exp", type=int, default=2,
                     help="monomial degree for the obstruction map")
+    op.set_defaults(handler=cmd_oneparam)
 
     lp = sub.add_parser("loop", parents=[after],
                         help="loop monoid computations")
@@ -113,11 +129,13 @@ def build_parser() -> argparse.ArgumentParser:
     lp.add_argument("--a", default="", help="multiset like 1,1,2")
     lp.add_argument("--b", default="")
     lp.add_argument("--file", default="")
+    lp.set_defaults(handler=cmd_loop)
 
     tb = sub.add_parser("tables", parents=[after],
                         help="emit S/T/Omega tables as CSV")
     tb.add_argument("--kind", choices=["S", "T", "Omega"], required=True)
     tb.add_argument("--bound", type=int, default=8)
+    tb.set_defaults(handler=cmd_tables)
 
     return ap
 
@@ -138,8 +156,7 @@ def emit_tables(kind: str, bound: int) -> str:
     _count("--bound", bound)
     lines = []
     if kind in ("S", "T"):
-        with _bad_input(mahler.BoundExceeded):
-            tables = mahler.stirling_tables(bound)
+        tables = mahler.stirling_tables(bound)
         if kind == "T":
             lines.append("n\\k," + ",".join(str(k) for k in range(bound + 1)))
             for n in range(bound + 1):
@@ -154,7 +171,7 @@ def emit_tables(kind: str, bound: int) -> str:
                                       for l in range(bound + 1)))
     else:
         if bound > mahler.MAX_OMEGA_BOUND:
-            raise SystemExit2(f"Omega bound capped at {mahler.MAX_OMEGA_BOUND}")
+            raise UsageError(f"Omega bound capped at {mahler.MAX_OMEGA_BOUND}")
         lines.append("k,n,m_indices,value")
         for k in range(bound + 1):
             for n in (1, 2, 3):
@@ -166,29 +183,21 @@ def emit_tables(kind: str, bound: int) -> str:
     return "\n".join(lines)
 
 
-class SystemExit2(SystemExit):
-    def __init__(self, msg):
-        print(f"error: {msg}", file=sys.stderr)
-        super().__init__(2)
-
-
 def _count(option: str, value: int) -> int:
     """A bound or index count given on the command line; it cannot be
     negative."""
     if value < 0:
-        raise SystemExit2(f"{option} must be >= 0, got {value}")
+        raise UsageError(f"{option} must be >= 0, got {value}")
     return value
 
 
-@contextlib.contextmanager
-def _bad_input(*errors):
-    """Input that does not parse, or names no field, is a usage error; so
-    are the given errors of the command."""
-    try:
-        yield
-    except (SpecError, FieldError, ValueError, ZeroDivisionError,
-            *errors) as exc:
-        raise SystemExit2(str(exc)) from None
+def _fn_text(ns, default: str = "") -> str:
+    """The function spec: --fn, else the first positional argument, else
+    the default; an action without a default needs one."""
+    text = ns.fn or (ns.args[0] if ns.args else default)
+    if not (text or default):
+        raise UsageError(f"{ns.action} needs a function spec")
+    return text
 
 
 # ---------------------------------------------------------------------------
@@ -196,13 +205,9 @@ def _bad_input(*errors):
 # ---------------------------------------------------------------------------
 
 def cmd_run(ns) -> int:
-    cfg = suites.RunConfig(prime=ns.prime, ext_degree=ns.ext_degree,
-                           precision=ns.precision, seed=ns.seed,
+    cfg = suites.RunConfig(precision=ns.precision, seed=ns.seed,
                            suite=ns.suite, out=ns.out or None)
-    try:
-        report = suites.run_suite(cfg)
-    except ValueError as exc:
-        raise SystemExit2(str(exc))
+    report = suites.run_suite(cfg)
     text = report.emit(cfg.out)
     if not cfg.out:
         print(text)
@@ -212,19 +217,20 @@ def cmd_run(ns) -> int:
     return 0 if report.passed else 1
 
 
+def cmd_tables(ns) -> int:
+    _emit(emit_tables(ns.kind, ns.bound), ns.out)
+    return 0
+
+
 def _field_poly(ns, text, nx=1, desc=None):
-    with _bad_input():
-        spec = parse_poly(text, nx)
-        return spec.to_field_poly(desc or padic(ns.prime), ns.precision)
+    spec = parse_poly(text, nx)
+    return spec.to_field_poly(desc or padic(ns.prime), ns.precision)
 
 
 def cmd_mahler(ns) -> int:
     p, N = ns.prime, ns.precision
     if ns.action == "expand":
-        text = ns.fn or (ns.args[0] if ns.args else "")
-        if not text:
-            raise SystemExit2("expand needs a function spec")
-        poly = _field_poly(ns, text)
+        poly = _field_poly(ns, _fn_text(ns))
         series = mahler.expand(lambda x: poly.eval_cached(
             [LocalFieldElement.from_int(padic(p), x, N)]), _count("-J", ns.J),
             p, N)
@@ -239,87 +245,65 @@ def cmd_mahler(ns) -> int:
         print("[" + ",".join(show(c) for c in series.coeffs) + "]")
         return 0
     if ns.action == "evaluate":
-        with _bad_input():
-            series = mahler.parse_series(ns.series)
-            x = int(ns.at)
-        print(format_element(series.evaluate(x)))
+        series = mahler.parse_series(ns.series)
+        print(format_element(series.evaluate(int(ns.at))))
         return 0
     if ns.action == "compose":
-        with _bad_input():
-            g = mahler.parse_series(ns.outer)
-            f = mahler.parse_series(ns.inner)
-            composed = mahler.compose(g, f, _count("-K", ns.K))
-        print(repr(composed))
+        g = mahler.parse_series(ns.outer)
+        f = mahler.parse_series(ns.inner)
+        print(repr(mahler.compose(g, f, _count("-K", ns.K))))
         return 0
     if ns.action == "invert":
-        with _bad_input():
-            f = mahler.parse_series(ns.series)
-        try:
-            inv = mahler.invert(f, _count("-K", ns.K))
-        except mahler.SingularSystem as exc:
-            raise SystemExit2(str(exc))
-        print(repr(inv))
+        f = mahler.parse_series(ns.series)
+        print(repr(mahler.invert(f, _count("-K", ns.K))))
         return 0
-    _emit(emit_tables(ns.kind, ns.bound), ns.out)
-    return 0
+    return cmd_tables(ns)
 
 
 def cmd_tower(ns) -> int:
-    with _bad_input():
-        desc = padic(ns.prime)
+    desc = padic(ns.prime)
     if ns.action == "project":
-        text = ns.fn or (ns.args[0] if ns.args else "")
-        if not text:
-            raise SystemExit2("project needs a function spec")
+        text = _fn_text(ns)
         domain = tower.Domain.units(desc) if ns.units else None
         g = tower.DiffRepr.from_poly(desc, _field_poly(ns, text), domain,
                                      None, text)
-        with _bad_input(tower.TowerError):
-            perm = tower.level_project(g, ns.k, precision=ns.precision)
+        perm = tower.level_project(g, ns.k, precision=ns.precision)
         print(perm.cycle_notation() if ns.format == "cycles"
               else perm.one_line())
         return 0
     if ns.action == "check":
         if not (ns.fn and ns.gn):
-            raise SystemExit2("check needs --fn and --gn")
+            raise UsageError("check needs --fn and --gn")
         f = tower.DiffRepr.from_poly(desc, _field_poly(ns, ns.fn))
         g = tower.DiffRepr.from_poly(desc, _field_poly(ns, ns.gn))
-        with _bad_input(tower.TowerError):
-            rep = tower.functoriality_check(f, g, ns.k, precision=ns.precision)
+        rep = tower.functoriality_check(f, g, ns.k, precision=ns.precision)
         ok = rep["composition_ok"] and rep["inverse_ok"]
         print(json.dumps({"level": ns.k, "composition_ok":
                           rep["composition_ok"],
                           "inverse_ok": rep["inverse_ok"]}))
         return 0 if ok else 1
     if ns.action == "witness":
-        with _bad_input(tower.ConstraintViolated, tower.LevelTooLarge):
-            f, rec = tower.witness_flat_polynomial(ns.prime, ns.k,
-                                                   precision=ns.precision)
+        f, rec = tower.witness_flat_polynomial(ns.prime, ns.k,
+                                               precision=ns.precision)
         print(json.dumps(rec))
         return 0
     if ns.action == "commutators":
         if not ns.perm:
-            raise SystemExit2("commutators needs --perm 'i0 i1 ...'")
-        with _bad_input(tower.TowerError):
-            images = tuple(int(t) for t in ns.perm.split())
-            perm = tower.LevelPermutation(1, tuple(range(len(images))), images)
-            pairs = tower.commutator_decompose_even(perm)
+            raise UsageError("commutators needs --perm 'i0 i1 ...'")
+        images = tuple(int(t) for t in ns.perm.split())
+        perm = tower.LevelPermutation(1, tuple(range(len(images))), images)
+        pairs = tower.commutator_decompose_even(perm)
         for a, b in pairs:
             print(a.cycle_notation(), "|", b.cycle_notation())
         ok = tower.product_of_commutators(pairs, perm).images == perm.images
         print(f"# product check: {'PASS' if ok else 'FAIL'}")
         return 0 if ok else 1
     # thread
-    text = ns.fn or (ns.args[0] if ns.args else "")
-    if not text:
-        raise SystemExit2("thread needs a function spec")
-    with _bad_input():
-        levels = [int(t) for t in ns.levels.split(",")]
+    text = _fn_text(ns)
+    levels = [int(t) for t in ns.levels.split(",")]
     g = tower.DiffRepr.from_poly(desc, _field_poly(ns, text))
-    with _bad_input(tower.TowerError):
-        thread = tower.PermThread.from_diff(g, levels,
-                                            precision=ns.precision)
-        thread.check_compatible()
+    thread = tower.PermThread.from_diff(g, levels, precision=ns.precision)
+    thread.check_compatible()
     for k in sorted(thread.levels):
         print(thread.levels[k].one_line())
     print(f"# parity profile: {thread.parity_profile()}")
@@ -329,19 +313,14 @@ def cmd_tower(ns) -> int:
 def cmd_calculus(ns) -> int:
     if ns.action == "check" or ns.fixtures:
         if not ns.fixtures:
-            raise SystemExit2("check needs --fixtures FILE")
-        try:
-            reports = calculus.run_fixture_file(ns.fixtures)
-        except (OSError, ValueError, SpecError,
-                calculus.CalculusError) as exc:
-            raise SystemExit2(str(exc))
+            raise UsageError("check needs --fixtures FILE")
+        reports = calculus.run_fixture_file(ns.fixtures)
         print(calculus.dump_reports(reports, ns.out or None))
         return 0 if all(r.passed for r in reports) else 1
     kv = dict(tok.partition("=")[::2] for tok in ns.args if "=" in tok)
     op = {"leibniz": "leibniz", "multi": "leibniz_multi",
           "chain": "chain"}[ns.action]
-    with _bad_input():
-        n = int(kv.get("n", "1"))
+    n = int(kv.get("n", "1"))
     defaults = {
         "n": str(n),
         "p": kv.get("p", str(ns.prime)),
@@ -359,27 +338,21 @@ def cmd_calculus(ns) -> int:
             parts.append(f"{key}={kv[key]}")
     for key in ("x", "vs", "ts", "expect"):
         parts.append(f"{key}={defaults[key]}")
-    try:
-        rep = calculus.run_fixture_line(" ".join(parts), ns.precision)
-    except (ValueError, KeyError, SpecError, calculus.CalculusError) as exc:
-        raise SystemExit2(str(exc))
+    rep = calculus.run_fixture_line(" ".join(parts), ns.precision)
     print(f"status {rep.status} margin {rep.margin}")
     return 0 if rep.passed else 1
 
 
 def cmd_oneparam(ns) -> int:
     p, u = ns.prime, ns.ext_degree
-    with _bad_input():
-        desc = laurent(p, u)
+    desc = laurent(p, u)
     if ns.action == "ball-group":
-        with _bad_input(oneparam.OneParamError):
-            G = oneparam.ball_group(ns.s, ns.sv, p, u)
+        G = oneparam.ball_group(ns.s, ns.sv, p, u)
         print(json.dumps({"order": G.order, "exponent": G.exponent(),
                           "width": G.width}))
         return 0
     if ns.action == "eta":
-        with _bad_input(oneparam.OneParamError):
-            G = oneparam.ball_group(ns.s, ns.sv, p, u)
+        G = oneparam.ball_group(ns.s, ns.sv, p, u)
         x0 = (1,) + (0,) * (G.width - 1)
         size = max(ns.cycle + 2, 6)
         elements = tuple(range(size))
@@ -396,18 +369,16 @@ def cmd_oneparam(ns) -> int:
                           **level.verify_conditions()}))
         return 0
     if ns.action == "lift":
-        text = ns.fn or (ns.args[0] if ns.args else "x+pi")
+        text = _fn_text(ns, "x+pi")
         levels = []
         one = LocalFieldElement.one(desc, ns.precision)
         x0f = one + desc.uniformizer(ns.precision)
         g = tower.DiffRepr.from_poly(
             desc, _field_poly(ns, text, 1, desc), None, 1, text)
-        with _bad_input(oneparam.OneParamError):
-            groups = [(s_v, oneparam.ball_group(ns.s, s_v, p, u))
-                      for s_v in (int(t) for t in ns.levels.split(","))]
+        groups = [(s_v, oneparam.ball_group(ns.s, s_v, p, u))
+                  for s_v in (int(t) for t in ns.levels.split(","))]
         for s_v, G in groups:
-            with _bad_input(tower.LevelTooLarge):
-                sigma = tower.level_project(g, s_v, precision=ns.precision)
+            sigma = tower.level_project(g, s_v, precision=ns.precision)
             levels.append(oneparam.eta_construct(sigma, G.from_field(x0f), G))
         try:
             rep = oneparam.lift_check(levels, desc)
@@ -416,39 +387,26 @@ def cmd_oneparam(ns) -> int:
             return 1
         print(json.dumps(rep))
         return 0
+    text = ns.fn or f"x+pi*x^{ns.exp}"
+    g = tower.DiffRepr.from_poly(desc, _field_poly(ns, text, 1, desc),
+                                 None, 1, text)
     if ns.action == "obstruction":
-        text = ns.fn or f"x+pi*x^{ns.exp}"
-        g = tower.DiffRepr.from_poly(desc, _field_poly(ns, text, 1, desc),
-                                     None, 1, text)
-        try:
-            rep = oneparam.additive_obstruction(g, ns.precision)
-        except oneparam.OneParamError as exc:
-            raise SystemExit2(str(exc))
+        rep = oneparam.additive_obstruction(g, ns.precision)
         rep["h_norm"] = str(rep["h_norm"])
         print(json.dumps(rep))
         return 0
     # condition-i
-    text = ns.fn or f"x+pi*x^{ns.exp}"
-    g = tower.DiffRepr.from_poly(desc, _field_poly(ns, text, 1, desc),
-                                 None, 1, text)
-    from .fields import ResidueRing
     ring = ResidueRing(desc, 3)
     samples = [ring.lift(c, ns.precision)
                for c in list(ring.elements())[:8]]
-    try:
-        rep = oneparam.condition_i_check(g, samples, ns.precision)
-    except oneparam.OneParamError as exc:
-        raise SystemExit2(str(exc))
-    print(json.dumps(rep))
+    print(json.dumps(oneparam.condition_i_check(g, samples, ns.precision)))
     return 0
 
 
 def cmd_loop(ns) -> int:
-    with _bad_input(loops.LoopError):
-        N = loops.PointedSet(tuple(range(ns.n_size)), 0)
+    N = loops.PointedSet(tuple(range(ns.n_size)), 0)
     if ns.action == "classes":
-        with _bad_input(loops.LoopError):
-            M = loops.PointedSet(tuple(range(ns.m_size)), 0)
+        M = loops.PointedSet(tuple(range(ns.m_size)), 0)
         seen = sorted({loops.class_of(f).values
                        for f in loops.all_pinned_maps(M, N)})
         for vals in seen:
@@ -458,10 +416,7 @@ def cmd_loop(ns) -> int:
     if ns.action == "wedge":
         a = _parse_class(ns.a, N)
         b = _parse_class(ns.b, N)
-        try:
-            print(loops.wedge(a, b).serialize())
-        except loops.LoopError as exc:
-            raise SystemExit2(str(exc))
+        print(loops.wedge(a, b).serialize())
         return 0
     if ns.action == "group":
         a = _parse_class(ns.a, N)
@@ -470,23 +425,21 @@ def cmd_loop(ns) -> int:
         return 0
     # thread
     if not ns.file:
-        raise SystemExit2("thread needs --file JSON")
+        raise UsageError("thread needs --file JSON")
+    with open(ns.file) as fh:
+        data = json.load(fh)
+    targets = [loops.PointedSet(tuple(t), t[0]) for t in data["targets"]]
+    levels = [loops.LoopGroupElement(tg, tuple(c))
+              for tg, c in zip(targets, data["levels"])]
+    maps = [loops.induced_projection(
+        {_kv(k): _kv(v) for k, v in m.items()},
+        targets[i + 1], targets[i])
+        for i, m in enumerate(data["maps"])]
     try:
-        with open(ns.file) as fh:
-            data = json.load(fh)
-        targets = [loops.PointedSet(tuple(t), t[0]) for t in data["targets"]]
-        levels = [loops.LoopGroupElement(tg, tuple(c))
-                  for tg, c in zip(targets, data["levels"])]
-        maps = [loops.induced_projection(
-            {_kv(k): _kv(v) for k, v in m.items()},
-            targets[i + 1], targets[i])
-            for i, m in enumerate(data["maps"])]
         rep = loops.loop_thread_check(levels, maps, ns.prime)
     except loops.Incompatible as exc:
         print(json.dumps({"compatible": False, "reason": str(exc)}))
         return 1
-    except (OSError, KeyError, ValueError, loops.LoopError) as exc:
-        raise SystemExit2(str(exc))
     print(json.dumps({"compatible": rep["compatible"],
                       "coordinates": [list(c) for c in rep["coordinates"]]}))
     return 0
@@ -499,28 +452,16 @@ def _kv(v):
 def _parse_class(text, N):
     if not text:
         return loops.unit_class(N)
-    try:
-        vals = tuple(sorted(int(t) for t in text.split(",")))
-        return loops.LoopClass(N, vals)
-    except (ValueError, loops.LoopError) as exc:
-        raise SystemExit2(str(exc))
+    return loops.LoopClass(N, tuple(sorted(int(t) for t in text.split(","))))
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    ns = ap.parse_args(argv)
-    handlers = {
-        "run": cmd_run,
-        "mahler": cmd_mahler,
-        "tower": cmd_tower,
-        "calculus": cmd_calculus,
-        "oneparam": cmd_oneparam,
-        "loop": cmd_loop,
-    }
-    if ns.command == "tables":
-        _emit(emit_tables(ns.kind, ns.bound), ns.out)
-        return 0
-    return handlers[ns.command](ns)
+    ns = build_parser().parse_args(argv)
+    try:
+        return ns.handler(ns)
+    except INPUT_ERRORS as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

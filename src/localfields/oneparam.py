@@ -36,6 +36,13 @@ class DegenerateSample(OneParamError):
     pass
 
 
+# the groups are enumerated element by element, and eta_construct searches
+# pairs of elements for a complement (about 20 s at order 128 and over a
+# minute at 256, CPython 3.11 on a 2-vCPU host); the largest group any suite
+# builds has order 81
+MAX_GROUP_ORDER = 128
+
+
 # ---------------------------------------------------------------------------
 # the multiplicative unit-ball groups
 # ---------------------------------------------------------------------------
@@ -57,6 +64,13 @@ class MultiplicativeBallGroup:
     def __post_init__(self):
         if not 1 <= self.s < self.s_v:
             raise OneParamError("need s_v > s >= 1")
+        # the order is at least 2^(u * width): past the cap's bit length it
+        # is over the cap without being computed
+        if self.u * self.width >= MAX_GROUP_ORDER.bit_length() \
+                or self.order > MAX_GROUP_ORDER:
+            raise OneParamError(
+                f"group order (p^u)^(s_v - s) exceeds the cap "
+                f"{MAX_GROUP_ORDER}")
 
     @property
     def desc(self) -> FieldDescriptor:

@@ -364,6 +364,12 @@ class TestLeibnizMulti:
             assert with_unit.passed and without.passed
             assert with_unit.lhs == without.lhs
 
+    def test_no_factors_is_a_shape_error(self):
+        pt = PhiPoint((e(D3, 1),), ((e(D3, 1),),), (e(D3, 1),))
+        for flavor, point in (("phi", pt), ("upsilon", embed_phi_point(pt))):
+            with pytest.raises(ShapeMismatch):
+                leibniz_multi_check([], point, flavor)
+
 
 class TestChain:
     def test_n1_two_coordinates(self):

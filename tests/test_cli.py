@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import io
 import json
 import re
 import shlex
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from localfields.cli import build_parser, main
 
@@ -283,6 +287,12 @@ class TestUsageErrors:
         ("tower", "witness", "-k", "40"),
         ("-p", "5", "tower", "witness", "-k", "7"),
         ("oneparam", "lift", "--levels", "40"),
+        ("-N", "-2", "tower", "witness", "-k", "1"),
+        ("calculus", "chain", "f=1/0", "u=x"),
+        ("oneparam", "lift", "--fn", "2*x", "--levels", "2,3"),
+        ("-N", "0", "calculus", "multi", "fs=x"),
+        ("oneparam", "lift", "-s", "2", "--levels", "3"),
+        ("oneparam", "ball-group", "--sv", "40"),
     ], ids=["composite-prime", "zero-denominator", "zero-precision",
             "bad-point", "zero-level", "bad-levels", "bad-perm",
             "bad-order", "zero-ball-radius", "critical-inverse",
@@ -292,7 +302,10 @@ class TestUsageErrors:
             "compose-across-fields", "negative-expand-order",
             "table-bound-cap", "mahler-table-bound-cap", "huge-level-check",
             "huge-level-project", "huge-level-thread", "huge-level-witness",
-            "huge-witness-search-level", "huge-level-lift"])
+            "huge-witness-search-level", "huge-level-lift",
+            "negative-precision-witness", "chain-zero-denominator",
+            "lift-infeasible-level", "zero-precision-multi",
+            "lift-anchor-outside-ball", "huge-ball-group"])
     def test_bad_input_is_one_line_error(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
@@ -314,3 +327,92 @@ def readme_cli_examples():
 @pytest.mark.parametrize("argv", readme_cli_examples(), ids=shlex.join)
 def test_readme_example_parses(argv):
     build_parser().parse_args(argv)
+
+
+# the CLI argument surface, every value kept small: no level, size or k above
+# 3, no bound above 8 and no s_v above 4, so no example enumerates a large ring
+SPECS = ["x", "x+1", "x^2+x", "x+pi", "2*x", "x^3", "x+p", "1/0", "x++1", ""]
+SERIES = ["p=2 N=8 coeffs=[0,1,2]", "p=3 N=8 coeffs=[0,1]",
+          "p=3 N=8 coeffs=[1,1]", "p=3 N=8 coeffs=[0,3]", "p=5 N=8 coeffs=[0,1]",
+          "coeffs=[", ""]
+small = st.integers(-1, 3).map(str)
+spec = st.sampled_from(SPECS)
+
+
+def _opt(flag, values):
+    return st.one_of(st.just([]), values.map(lambda v: [flag, v]))
+
+
+def _argv(*parts):
+    return st.tuples(*parts).map(lambda ps: [a for p in ps for a in p])
+
+
+def _action(command, actions, *options):
+    return _argv(st.just([command]), st.sampled_from(actions).map(lambda a: [a]),
+                 *options)
+
+
+def _kv(key, values):
+    return st.one_of(st.just([]), values.map(lambda v: [f"{key}={v}"]))
+
+
+COMMANDS = st.one_of(
+    st.just(["run", "--suite", "none"]), st.just(["run", "--suite", "nosuch"]),
+    _action("mahler", ["expand", "evaluate", "compose", "invert", "tables"],
+            st.lists(spec, max_size=1), _opt("--fn", spec),
+            _opt("--series", st.sampled_from(SERIES)),
+            _opt("--outer", st.sampled_from(SERIES)),
+            _opt("--inner", st.sampled_from(SERIES)),
+            _opt("--at", st.sampled_from(["0", "3", "-2", "abc"])),
+            _opt("-J", small), _opt("-K", small),
+            _opt("--kind", st.sampled_from(["S", "T", "Omega"])),
+            _opt("--bound", st.integers(-1, 8).map(str))),
+    _action("tower", ["project", "check", "witness", "commutators", "thread"],
+            st.lists(spec, max_size=1), _opt("--fn", spec), _opt("--gn", spec),
+            _opt("-k", small),
+            _opt("--levels", st.sampled_from(["1,2,3", "2", "0", "1,a", ""])),
+            _opt("--perm", st.sampled_from(["1 2 0 3 4", "1 0 2 3 4", "0",
+                                            "a b", "0 0", ""])),
+            _opt("--format", st.sampled_from(["cycles", "oneline"])),
+            st.lists(st.just("--units"), max_size=1)),
+    _action("calculus", ["leibniz", "multi", "chain", "check"],
+            _kv("n", st.sampled_from(["0", "1", "2", "3", "abc"])),
+            _kv("f", spec), _kv("g", spec),
+            _kv("fs", st.sampled_from(["x", "x,x+1", "x,1/0", ""])),
+            _kv("u", spec), _kv("p", st.sampled_from(["2", "3", "4"])),
+            _kv("flavor", st.sampled_from(["phi", "upsilon"])),
+            _kv("ts", st.sampled_from(["0", "1", "1,1", "2"])),
+            _opt("--fixtures", st.just("no-such-fixtures.txt"))),
+    _action("oneparam", ["ball-group", "eta", "lift", "obstruction",
+                         "condition-i"],
+            st.lists(spec, max_size=1), _opt("-s", small),
+            _opt("--sv", st.integers(-1, 4).map(str)),
+            _opt("--levels", st.sampled_from(["2,3", "2", "3", "0", "a"])),
+            _opt("--cycle", small), _opt("--fn", spec),
+            _opt("--exp", small)),
+    _action("loop", ["classes", "wedge", "group", "thread"],
+            _opt("--m-size", small), _opt("--n-size", small),
+            _opt("--a", st.sampled_from(["1", "1,2", "2,2", "9", "x", ""])),
+            _opt("--b", st.sampled_from(["1", "2", "0", ""])),
+            _opt("--file", st.just("no-such-thread.json"))),
+    _argv(st.just(["tables", "--kind"]),
+          st.sampled_from(["S", "T", "Omega"]).map(lambda k: [k]),
+          _opt("--bound", st.integers(-1, 8).map(str))),
+)
+GLOBALS = _argv(_opt("-p", st.sampled_from(["2", "3", "4", "0"])),
+                _opt("-u", st.sampled_from(["1", "2"])),
+                _opt("-N", st.sampled_from(["-2", "0", "1", "4", "12"])),
+                _opt("--seed", st.sampled_from(["0", "1"])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_argv(GLOBALS, COMMANDS))
+def test_no_argument_vector_escapes_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    event(f"exit {code}")
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1
