@@ -712,7 +712,10 @@ def _finish_report(op, flavor, n, lhs, rhs, detail=None) -> CheckReport:
 # ---------------------------------------------------------------------------
 
 def _flavor_context(pt, flavor: str):
-    """The evaluation context of pt, which must match the check's flavor."""
+    """The evaluation context of pt, which must match the check's flavor
+    (phi: a flat point, upsilon: a tree point)."""
+    if flavor not in ("phi", "upsilon"):
+        raise ValueError(f"unknown flavor {flavor!r}: use phi or upsilon")
     ctx = context_for(pt)
     if (flavor == "upsilon") != (ctx is TreeContext):
         raise ShapeMismatch(f"{flavor} flavor needs a matching point type")

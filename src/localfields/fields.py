@@ -82,7 +82,7 @@ class FieldDescriptor:
     def uniformizer(self, precision: int = DEFAULT_PRECISION) -> "LocalFieldElement":
         if self.family == PADIC:
             return LocalFieldElement.from_int(self, self.p, precision)
-        return LocalFieldElement(self, 1, (1,) + (0,) * (precision - 2), precision - 1)
+        return LocalFieldElement(self, 1, 1, precision - 1)
 
 
 INFINITY = math.inf
@@ -108,8 +108,9 @@ class LocalFieldElement:
 
     * padic:   an integer in [0, p^r) not divisible by p (element is
                p^v * mantissa mod p^N);
-    * laurent: a tuple of r GF(p^u) codes, leading code nonzero (element is
-               theta^v * sum c_i theta^i mod theta^N).
+    * laurent: the r GF(p^u) codes c_i packed into one integer in the
+               series layout of `gf` (slot i holds c_i), c_0 nonzero
+               (element is theta^v * sum c_i theta^i mod theta^N).
 
     A mantissa of relative precision 0 is an *apparent zero*: the element is
     indistinguishable from 0 at precision N.  Exact zero is separate and has
@@ -133,16 +134,16 @@ class LocalFieldElement:
                 mant //= p
                 val += 1
                 rel -= 1
-        else:
-            mant = tuple(mant)[:rel]
-            while mant and mant[0] == 0:
-                mant = mant[1:]
-                val += 1
-                rel -= 1
-            rel = len(mant)
+        elif rel > 0:
+            bits = desc.gf().slot_bits
+            mant &= (1 << bits * rel) - 1
+            # zero low codes: the true valuation is higher
+            tz = ((mant & -mant).bit_length() - 1) // bits if mant else rel
+            mant >>= bits * tz
+            val += tz
+            rel -= tz
         if rel <= 0:
-            mant = 0 if desc.family == PADIC else ()
-            rel = 0
+            mant = rel = 0
         self._val, self._mant, self._rel = val, mant, rel
 
     # -- constructors ------------------------------------------------------
@@ -169,12 +170,9 @@ class LocalFieldElement:
             rel = precision - v
             return _unit(desc, v, n % p ** rel, rel) if rel > 0 \
                 else _unit(desc, v, 0, 0)
-        # integers embed through the prime field
-        G = desc.gf()
-        c0 = G.from_int(n)
-        if c0 == 0:
-            return cls(desc, precision, (), 0)
-        return cls(desc, 0, (c0,) + (0,) * (precision - 1), precision)
+        # integers embed through the prime field, whose codes pack to themselves
+        c0 = desc.gf().from_int(n)
+        return cls(desc, 0, c0, precision) if c0 else cls(desc, precision, 0, 0)
 
     @classmethod
     def from_fraction(cls, desc, q: Fraction, precision: int = DEFAULT_PRECISION):
@@ -193,14 +191,12 @@ class LocalFieldElement:
         """theta^val * (coeffs[0] + coeffs[1] theta + ...), GF codes."""
         if desc.family != LAURENT:
             raise FieldError("laurent coefficients need a laurent descriptor")
-        coeffs = tuple(coeffs)
         rel = max(precision - val, 0)
-        coeffs = coeffs[:rel] + (0,) * (rel - len(coeffs))
-        return cls(desc, val, coeffs, rel)
+        return cls(desc, val, desc.gf().pack(tuple(coeffs)[:rel]), rel)
 
     @classmethod
     def apparent_zero(cls, desc, precision: int) -> "LocalFieldElement":
-        return _unit(desc, precision, 0 if desc.family == PADIC else (), 0)
+        return _unit(desc, precision, 0, 0)
 
     # -- basic queries -----------------------------------------------------
 
@@ -235,7 +231,7 @@ class LocalFieldElement:
                 out.append(m % self.desc.p)
                 m //= self.desc.p
             return tuple(out)
-        return self._mant
+        return self.desc.gf().unpack(self._mant, self._rel)
 
     def lift_int(self) -> int:
         """Canonical integer representative p^v * mantissa (padic, v >= 0)."""
@@ -305,16 +301,14 @@ class LocalFieldElement:
             # a nonzero low digit means the sum is already normalised
             return _unit(desc, v0, s, rel) if s % p \
                 else LocalFieldElement(desc, v0, s, rel)
-        if sign < 0:
-            other = -other
         G = desc.gf()
-        coeffs = [0] * rel
-        for src in (self, other):
-            off = src._val - v0
-            for i, c in enumerate(src._mant):
-                if off + i < rel:
-                    coeffs[off + i] = G.add(coeffs[off + i], c)
-        return LocalFieldElement(desc, v0, tuple(coeffs), rel)
+        bits = G.slot_bits
+        a = self._mant << bits * (sv - v0)
+        b = other._mant << bits * (ov - v0)
+        s = G.packed_add(a, b, rel) if sign > 0 else G.packed_sub(a, b, rel)
+        # a nonzero low code means the sum is already normalised
+        return _unit(desc, v0, s, rel) if s & ((1 << bits) - 1) \
+            else LocalFieldElement(desc, v0, s, rel)
 
     def __add__(self, other):
         return self._sum(other, 1)
@@ -324,12 +318,10 @@ class LocalFieldElement:
     def __neg__(self):
         if self._exact_zero:
             return self
-        if self.desc.family == PADIC:
-            return _unit(self.desc, self._val,
-                         (-self._mant) % self.desc.p ** self._rel, self._rel)
-        G = self.desc.gf()
-        return LocalFieldElement(self.desc, self._val,
-                                 tuple(G.neg(c) for c in self._mant), self._rel)
+        desc, rel = self.desc, self._rel
+        if desc.family == PADIC:
+            return _unit(desc, self._val, (-self._mant) % desc.p ** rel, rel)
+        return _unit(desc, self._val, desc.gf().packed_sub(0, self._mant, rel), rel)
 
     def __sub__(self, other):
         return self._sum(other, -1)
@@ -347,36 +339,26 @@ class LocalFieldElement:
         rel = self._rel if self._rel < other._rel else other._rel
         if rel == 0:
             return LocalFieldElement.apparent_zero(desc, v)
+        # a unit times a unit is a unit
         if desc.family == PADIC:
-            # a unit times a unit is a unit
             return _unit(desc, v, self._mant * other._mant % desc.p ** rel, rel)
-        coeffs = desc.gf().series_mul(self._mant, other._mant, [0] * rel)
-        return LocalFieldElement(desc, v, coeffs, rel)
+        return _unit(desc, v, desc.gf().packed_mul(self._mant, other._mant, rel),
+                     rel)
 
     __rmul__ = __mul__
 
     def inv_unit(self) -> "LocalFieldElement":
         """Inverse of a unit (valuation 0), modulo pi^rel.
 
-        Q_p: one modular inversion of the mantissa.  F_q((theta)): back
-        substitution on the series coefficients.
+        Q_p: one modular inversion of the mantissa.  F_q((theta)): Newton's
+        iteration on the packed series (`GF.packed_inv`).
         """
         if self.is_zero() or self._val != 0:
             raise NonUnit(f"inv_unit needs valuation 0, got {self.valuation}")
         rel = self._rel
         if self.desc.family == PADIC:
             return _unit(self.desc, 0, pow(self._mant, -1, self.desc.p ** rel), rel)
-        G = self.desc.gf()
-        c = self._mant
-        inv0 = G.inv(c[0])
-        out = [inv0] + [0] * (rel - 1)
-        for n in range(1, rel):
-            s = 0
-            for i in range(1, n + 1):
-                if c[i]:
-                    s = G.add(s, G.mul(c[i], out[n - i]))
-            out[n] = G.neg(G.mul(inv0, s))
-        return LocalFieldElement(self.desc, 0, tuple(out), rel)
+        return _unit(self.desc, 0, self.desc.gf().packed_inv(self._mant, rel), rel)
 
     def divide(self, other) -> "LocalFieldElement":
         """self / other; consumes valuation(other) units of precision budget."""
@@ -456,11 +438,8 @@ class LocalFieldElement:
             raise FieldError("cannot project an element of negative valuation")
         if self.desc.family == PADIC:
             return self.lift_int() % self.desc.p ** k
-        out = [0] * k
-        for i, c in enumerate(self._mant):
-            if self._val + i < k:
-                out[self._val + i] = c
-        return tuple(out)
+        G = self.desc.gf()
+        return G.unpack(self._mant << G.slot_bits * self._val, k)
 
     # -- display -------------------------------------------------------------
 
@@ -472,15 +451,15 @@ class LocalFieldElement:
             return f"<p={self.desc.p}:{ds or '0'}*{self.desc.p}^{self._val}" \
                    f" mod {self.desc.p}^{self.precision}>"
         terms = " + ".join(f"{c}*t^{self._val + i}"
-                           for i, c in enumerate(self._mant) if c)
+                           for i, c in enumerate(self.digits()) if c)
         return f"<p={self.desc.p},u={self.desc.u}:{terms or '0'}" \
                f" mod t^{self.precision}>"
 
 
 def _unit(desc, val, mant, rel) -> LocalFieldElement:
     """An element whose mantissa is normalised by construction (a unit mod
-    pi^rel, reduced; or the empty mantissa when rel = 0), built without
-    __init__'s normalisation."""
+    pi^rel, reduced; or 0 when rel = 0), built without __init__'s
+    normalisation."""
     x = object.__new__(LocalFieldElement)
     x.desc, x._val, x._mant, x._rel, x._exact_zero = desc, val, mant, rel, False
     return x
@@ -580,7 +559,7 @@ def format_element(x: LocalFieldElement) -> str:
         return f"p={x.desc.p},N={x.precision}:{digits}"
     if x.is_exact_zero:
         return f"p={x.desc.p},u={x.desc.u}:0"
-    parts = [f"{c}*t^{x._val + i}" for i, c in enumerate(x._mant) if c]
+    parts = [f"{c}*t^{x._val + i}" for i, c in enumerate(x.digits()) if c]
     return f"p={x.desc.p},u={x.desc.u},N={x.precision}:" + ("+".join(parts) or "0")
 
 

@@ -293,6 +293,7 @@ class TestUsageErrors:
         ("-N", "0", "calculus", "multi", "fs=x"),
         ("oneparam", "lift", "-s", "2", "--levels", "3"),
         ("oneparam", "ball-group", "--sv", "40"),
+        ("calculus", "leibniz", "n=1", "f=x", "g=x", "flavor=bogus"),
     ], ids=["composite-prime", "zero-denominator", "zero-precision",
             "bad-point", "zero-level", "bad-levels", "bad-perm",
             "bad-order", "zero-ball-radius", "critical-inverse",
@@ -305,7 +306,7 @@ class TestUsageErrors:
             "huge-witness-search-level", "huge-level-lift",
             "negative-precision-witness", "chain-zero-denominator",
             "lift-infeasible-level", "zero-precision-multi",
-            "lift-anchor-outside-ball", "huge-ball-group"])
+            "lift-anchor-outside-ball", "huge-ball-group", "bogus-flavor"])
     def test_bad_input_is_one_line_error(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2

@@ -424,7 +424,9 @@ def outcome(fn, *args):
 def assert_normalised(x):
     """The representation invariant every trusted construction relies on:
     exact zero, or an apparent zero (rel 0, mantissa 0), or a unit
-    mantissa reduced mod p^rel."""
+    mantissa: over Q_p reduced mod p^rel, over F_q((theta)) rel packed
+    codes (`localfields.gf`) with code 0 nonzero, every digit < p, and
+    zero padding fields and bits above the rel slots."""
     if isinstance(x, type):  # an expected exception type
         return
     assert type(x._val) is int and type(x._mant) is int and type(x._rel) is int
@@ -432,9 +434,20 @@ def assert_normalised(x):
         assert (x._val, x._mant, x._rel) == (0, 0, 0)
     elif x._rel == 0:
         assert x._mant == 0
-    else:
+    elif x.desc.family == "padic":
         p = x.desc.p
         assert 0 <= x._mant < p ** x._rel and x._mant % p != 0
+    else:
+        G = x.desc.gf()
+        assert 0 < x._mant and x._mant >> G.slot_bits * x._rel == 0
+        data = x._mant.to_bytes(G.slot_bytes * x._rel, "little")
+        fields = [int.from_bytes(data[i:i + G.width], "little")
+                  for i in range(0, len(data), G.width)]
+        slots = [fields[i:i + 2 * G.u - 1]
+                 for i in range(0, len(fields), 2 * G.u - 1)]
+        assert any(slots[0])
+        for slot in slots:
+            assert all(d < G.p for d in slot[:G.u]) and not any(slot[G.u:])
 
 
 QP = [padic(2), padic(3), padic(5), padic(7)]
@@ -490,6 +503,178 @@ def test_qp_int_operands_match_normalising_reference(desc, data):
     for got, want in pairs:
         assert got == want
         assert_normalised(got)
+
+
+# ---------------------------------------------------------------------------
+# F_q((theta)) oracle: element ops against schoolbook code-tuple arithmetic
+# ---------------------------------------------------------------------------
+
+# u = 1, 2, 5 and 7; laurent(131) and laurent(19, 2) pack their digits in
+# two-byte fields, the first for a sum of digits, the second for the fold
+# (a^2 = -1 there, so a folded digit reaches 18 + 18 * 18)
+LAURENT_FIELDS = [laurent(2), laurent(3), laurent(2, 2), laurent(3, 2),
+                  laurent(5, 2), laurent(2, 7), laurent(3, 5), laurent(131),
+                  laurent(19, 2)]
+
+
+def ref_laurent(val, codes):
+    """The reference of theta^val * sum codes[i] theta^i known mod
+    theta^(val + len(codes)): (valuation, codes) with leading zero codes
+    moved into the valuation; (N, ()) is the apparent zero at N and None
+    the exact zero."""
+    codes = tuple(codes)
+    lead = next((i for i, c in enumerate(codes) if c), len(codes))
+    return val + lead, codes[lead:]
+
+
+def ref_l_add(G, a, b):
+    if a is None or b is None:
+        return b if a is None else a
+    (va, ca), (vb, cb) = a, b
+    v0, N = min(va, vb), min(va + len(ca), vb + len(cb))
+    if N <= v0:
+        return N, ()
+    out = [0] * (N - v0)
+    for v, codes in (a, b):
+        for i, c in enumerate(codes[:max(N - v, 0)]):
+            out[v - v0 + i] = G.add(out[v - v0 + i], c)
+    return ref_laurent(v0, out)
+
+
+def ref_l_neg(G, a):
+    return None if a is None else (a[0], tuple(map(G.neg, a[1])))
+
+
+def ref_l_mul(G, a, b):
+    if a is None or b is None:
+        return None
+    (va, ca), (vb, cb) = a, b
+    rel = min(len(ca), len(cb))
+    out = [0] * rel
+    for i in range(rel):
+        for j in range(rel - i):
+            out[i + j] = G.add(out[i + j], G.mul(ca[i], cb[j]))
+    return va + vb, tuple(out)
+
+
+def ref_l_inv_unit(G, a):
+    """Back substitution: out[n] = -c_0^-1 sum_{i >= 1} c_i out[n - i]."""
+    if a is None or not a[1] or a[0] != 0:
+        raise NonUnit("inv_unit needs valuation 0")
+    c = a[1]
+    inv0 = G.inv(c[0])
+    out = [inv0]
+    for n in range(1, len(c)):
+        s = 0
+        for i in range(1, n + 1):
+            s = G.add(s, G.mul(c[i], out[n - i]))
+        out.append(G.neg(G.mul(inv0, s)))
+    return 0, tuple(out)
+
+
+def ref_l_divide(G, a, b):
+    if b is None or not b[1]:
+        raise NonUnit("division by (apparent) zero")
+    if a is None:
+        return None
+    v, codes = ref_l_mul(G, a, ref_l_inv_unit(G, (0, b[1])))
+    return v - b[0], codes
+
+
+def ref_l_project(a, k):
+    if a is None:
+        return (0,) * k
+    v, codes = a
+    if v + len(codes) < k:
+        raise PrecisionExhausted("precision below the level")
+    if v < 0:
+        raise FieldError("negative valuation")
+    out = [0] * k
+    for i, c in enumerate(codes[:max(k - v, 0)]):
+        out[v + i] = c
+    return tuple(out)
+
+
+def as_ref(x):
+    """The element in the reference's terms, read through digits()."""
+    if isinstance(x, type):  # an expected exception type
+        return x
+    if x.is_exact_zero:
+        return None
+    assert len(x.digits()) == x._rel
+    return x._val, x.digits()
+
+
+@st.composite
+def laurent_pairs(draw, desc):
+    """Two references and their elements.  Valuations -20..20 (often 0, so
+    inv_unit applies), relative precisions 0..64 drawn apart, codes
+    uniform or all q - 1 (every digit p - 1: the largest packed fields),
+    and in half the pairs b shares a prefix with a or with -a, so that
+    a - b or a + b cancels, down to an apparent zero when the prefix covers
+    the budget."""
+    G = desc.gf()
+
+    def draw_one(prefix=(), val=None):
+        kind = draw(st.sampled_from(["exact", "apparent", "any", "any", "max"]))
+        codes = st.just(G.q - 1) if kind == "max" else st.integers(0, G.q - 1)
+        if kind == "exact" and not prefix:
+            return None, LocalFieldElement.zero(desc)
+        if val is None:
+            val = draw(st.one_of(st.just(0), st.integers(-20, 20)))
+        if kind == "apparent" and not prefix:
+            return (val, ()), LocalFieldElement.apparent_zero(desc, val)
+        rel = draw(st.integers(len(prefix), 64))
+        cs = prefix + tuple(draw(st.lists(codes, min_size=rel - len(prefix),
+                                          max_size=rel - len(prefix))))
+        x = LocalFieldElement.from_laurent_coeffs(desc, val, cs, val + rel)
+        return ref_laurent(val, cs), x
+
+    a, x = draw_one()
+    if a is not None and a[1] and draw(st.booleans()):
+        shared = a[1][:draw(st.integers(1, len(a[1])))]
+        if draw(st.booleans()):
+            shared = tuple(map(G.neg, shared))
+        b, y = draw_one(shared, a[0])
+    else:
+        b, y = draw_one()
+    return (a, x), (b, y)
+
+
+# 500 examples: each draws one of the nine fields, two elements and a
+# level, and checks 10 results and the digits of both operands.
+@settings(max_examples=500, deadline=None)
+@given(st.sampled_from(LAURENT_FIELDS), st.integers(1, 70), st.data())
+def test_laurent_ops_match_code_tuple_reference(desc, k, data):
+    G = desc.gf()
+    (a, x), (b, y) = data.draw(laurent_pairs(desc))
+    assert as_ref(x) == a and as_ref(y) == b
+    pairs = [(x + y, ref_l_add(G, a, b)),
+             (x - y, ref_l_add(G, a, ref_l_neg(G, b))),
+             (y - x, ref_l_add(G, b, ref_l_neg(G, a))),
+             (x * y, ref_l_mul(G, a, b)), (-x, ref_l_neg(G, a)),
+             (outcome(x.inv_unit), outcome(ref_l_inv_unit, G, a)),
+             (outcome(x.divide, y), outcome(ref_l_divide, G, a, b)),
+             (outcome(y.divide, x), outcome(ref_l_divide, G, b, a))]
+    for got, want in pairs:
+        assert as_ref(got) == want
+        assert_normalised(got)
+    assert outcome(x.project, k) == outcome(ref_l_project, a, k)
+    assert outcome(y.project, k) == outcome(ref_l_project, b, k)
+
+
+@pytest.mark.parametrize("desc", LAURENT_FIELDS, ids=repr)
+def test_laurent_largest_digits_match_code_tuple_reference(desc):
+    """Every code q - 1 at every relative precision 1..64: the largest field
+    each step of the packed product holds, before and after the fold."""
+    G = desc.gf()
+    for rel in range(1, 65):
+        a = (0, (G.q - 1,) * rel)
+        x = LocalFieldElement.from_laurent_coeffs(desc, 0, a[1], rel)
+        for got, want in ((x * x, ref_l_mul(G, a, a)),
+                          (x.inv_unit(), ref_l_inv_unit(G, a))):
+            assert as_ref(got) == want
+            assert_normalised(got)
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,13 @@ from hypothesis import strategies as st
 
 from localfields.gf import gf
 
-# q <= 64 with and without the add table, and the table-free F_128, F_243
-FIELDS = [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2), (5, 2), (2, 7), (3, 5)]
-# 2^32 + 15 is prime: its digit products overflow 64-bit fields
-SERIES_FIELDS = FIELDS + [(4294967311, 1)]
+# prime fields; extensions with exp/log tables, up to F_256 for p = 2;
+# and F_2048, above the table bound, on digit polynomials alone
+FIELDS = [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2), (5, 2), (2, 7), (3, 5),
+          (2, 8), (2, 11)]
+# 131 needs two-byte digit fields; 2^32 + 15 is prime and its digit
+# products overflow 64-bit fields
+SERIES_FIELDS = FIELDS + [(131, 1), (4294967311, 1)]
 
 
 def elements(q):
@@ -53,3 +56,15 @@ def test_series_mul_matches_schoolbook(pu, shift, data):
     a, b, out = (tuple(data.draw(series)) for _ in range(3))
     assert G.series_mul(a, b, list(out), shift) == schoolbook(G, a, b, out,
                                                               shift)
+
+
+def test_log_tables_agree_with_polynomial_products_on_f128():
+    """Every product of F_128 through its exp/log tables equals the product
+    of digit polynomials reduced by the modulus, and every inverse is one."""
+    G = gf(2, 7)
+    assert G._log is not None
+    for a in G.elements():
+        assert [G.mul(a, b) for b in G.elements()] == \
+            [G._mul_slow(a, b) for b in G.elements()]
+        if a:
+            assert G.mul(a, G.inv(a)) == 1
