@@ -166,7 +166,7 @@ class DiffRepr:
     def evaluate(self, x: LocalFieldElement) -> LocalFieldElement:
         b = self.backing
         if isinstance(b, MultiPoly):
-            return b.eval_cached([x])
+            return _eval_at(b, x)
         if hasattr(b, "evaluate"):
             return b.evaluate(x)
         return b(x)
@@ -218,6 +218,13 @@ class DiffRepr:
         return True
 
 
+def _eval_at(poly: MultiPoly, x: LocalFieldElement) -> LocalFieldElement:
+    """poly(x); the zero polynomial (p*x over F_p((t)), or the derivative
+    of a constant) is the field's exact zero, not eval_cached's int 0."""
+    return poly.eval_cached([x]) if poly.terms else LocalFieldElement.zero(
+        x.desc)
+
+
 def _newton_solve(g: MultiPoly, dg: MultiPoly, y: LocalFieldElement):
     """The x with g(x) = y by x <- x - (g(x) - y)/g'(x), where dg = g'.
 
@@ -228,12 +235,12 @@ def _newton_solve(g: MultiPoly, dg: MultiPoly, y: LocalFieldElement):
     or a g'(x) that is not a unit, raises NotWellDefined.
     """
     x = y
-    residual = g.eval_cached([x]) - y
+    residual = _eval_at(g, x) - y
     if residual.is_exact_zero:
         return x
     steps = residual.precision.bit_length() + 2
     for _ in range(steps):
-        slope = dg.eval_cached([x])
+        slope = _eval_at(dg, x)
         if slope.is_zero() or slope.valuation != 0:
             raise NotWellDefined(f"g'(x) is not a unit at x = "
                                  f"{format_element(x)}")
@@ -241,7 +248,7 @@ def _newton_solve(g: MultiPoly, dg: MultiPoly, y: LocalFieldElement):
         if x_next == x:
             return x
         x = x_next
-        residual = g.eval_cached([x]) - y
+        residual = _eval_at(g, x) - y
     raise NotWellDefined(f"Newton inversion at y = {format_element(y)} "
                          f"did not converge in {steps} steps")
 

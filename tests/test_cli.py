@@ -10,7 +10,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from localfields.cli import build_parser, main
@@ -408,6 +408,7 @@ GLOBALS = _argv(_opt("-p", st.sampled_from(["2", "3", "4", "0"])),
 
 @settings(max_examples=300, deadline=None)
 @given(_argv(GLOBALS, COMMANDS))
+@example(["-p", "2", "oneparam", "lift", "2*x"])  # 2*x is 0 over F_2((t))
 def test_no_argument_vector_escapes_main(argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):

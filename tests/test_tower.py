@@ -207,6 +207,17 @@ class TestInverse:
         with pytest.raises(NotWellDefined):
             g.inverse()(LocalFieldElement.zero(D2))
 
+    def test_zero_polynomial_is_the_field_zero(self):
+        # 2*x has no terms over F_2((t)); its value and the derivative of a
+        # constant map are the field's zero, not the integer 0
+        L2 = laurent(2)
+        x = LocalFieldElement.one(L2, 8)
+        g = DiffRepr.from_poly(L2, MultiPoly(1, {}))
+        assert g(x).is_exact_zero
+        const = DiffRepr.from_poly(L2, MultiPoly(1, {(0,): x}))
+        with pytest.raises(NotWellDefined):
+            const.inverse()(x)
+
 
 class TestWitness:
     def test_p3_k1(self):
