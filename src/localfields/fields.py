@@ -481,6 +481,30 @@ def _int_sum(desc, terms, N) -> LocalFieldElement:
     return LocalFieldElement(desc, v, s, N - v)
 
 
+def _int_weighted_sum(desc, terms) -> LocalFieldElement:
+    """sum c * b over the (c, b) pairs of an element over Q_p = `desc` and an
+    int, as one `_int_sum` (exact zero if no term is nonzero), each term with
+    the budget of the element product `c * b`: valuation val(c) + v_p(b),
+    relative precision min(rel(c), max(N + 1, 0)) for N = val(c) + rel(c)."""
+    p, pairs, N = desc.p, [], math.inf
+    for c, b in terms:
+        if c.desc is not desc and c.desc != desc:
+            raise DescriptorMismatch(f"operand over {c.desc}, not {desc}")
+        if c._exact_zero or not b:
+            continue
+        vb, u = 0, b
+        while not u % p:
+            u //= p
+            vb += 1
+        v, r = c._val, c._rel
+        # min(r, max(v + r + 1, 0)) is r for v >= -1
+        prec = v + vb + (r if v >= -1 else max(v + r + 1, 0))
+        if prec < N:
+            N = prec
+        pairs.append((v, c._mant * b))
+    return _int_sum(desc, pairs, N) if pairs else LocalFieldElement.zero(desc)
+
+
 # ---------------------------------------------------------------------------
 # element literals (external interface shared by the CLI and fixtures)
 # ---------------------------------------------------------------------------

@@ -69,7 +69,10 @@ def solve_linear(matrix, rhs, pivot_threshold=None):
         raise ValueError("need a square system with matching rhs")
     m = [list(r) + [rhs[i]] for i, r in enumerate(matrix)]
     if pivot_threshold is None:
-        prec = min(x.precision for r in matrix for x in r if not x.is_exact_zero)
+        prec = min((x.precision for r in matrix for x in r
+                    if not x.is_exact_zero), default=None)
+        if prec is None:
+            raise SingularSystem("no nonzero pivot available")
         pivot_threshold = prec / 2
     perm = []  # (row, col) pivot positions in elimination order
     rows_left = list(range(n))

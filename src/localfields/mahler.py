@@ -13,8 +13,8 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .fields import (DEFAULT_PRECISION, FieldDescriptor,
-                     LocalFieldElement, _int_sum, padic)
+from .fields import (DEFAULT_PRECISION, PADIC, FieldDescriptor,
+                     LocalFieldElement, _int_sum, _int_weighted_sum, padic)
 from .linalg import SingularSystem, solve_linear
 
 MAX_OMEGA_BOUND = 8
@@ -54,15 +54,23 @@ def binom_int(x, j: int):
     return num / math.factorial(j)
 
 
-def binom_element(x: LocalFieldElement, j: int) -> LocalFieldElement:
-    """C(x, j) in the field; divides by j! and spends the matching budget."""
+def binom_row(x: LocalFieldElement, K: int, first: int = 0) -> list:
+    """[C(x, first), ..., C(x, K)] from one running product of the factors
+    (x - i), each entry divided by its own n! (an exact zero needs none)."""
     acc = LocalFieldElement.one(x.desc, x.precision if x.precision != math.inf
                                 else DEFAULT_PRECISION)
-    for i in range(j):
-        acc = acc * (x - i)
-    if j >= 2 and not acc.is_exact_zero:
-        acc = acc.divide(math.factorial(j))
-    return acc
+    row = []
+    for n in range(K + 1):
+        acc = acc * (x - (n - 1)) if n else acc
+        if n >= first:
+            row.append(acc.divide(math.factorial(n))
+                       if n >= 2 and not acc.is_exact_zero else acc)
+    return row
+
+
+def binom_element(x: LocalFieldElement, j: int) -> LocalFieldElement:
+    """C(x, j), j >= 0, in the field; divides by j! and spends the budget."""
+    return binom_row(x, j, j)[0]
 
 
 @dataclass
@@ -109,30 +117,13 @@ class MahlerSeries:
         """sum f_j C(x,j).  Integer and Fraction arguments are exact; field
         arguments pay the j! division budget.
 
-        At an integer: one exact integer sum (`fields._int_sum`) of f_j * b,
-        b = C(x, j) != 0, each term with the valuation val(f_j) + v_p(b) and
-        the relative precision min(rel(f_j), max(N_j + 1, 0)), N_j the
-        precision of f_j, that the element product `f_j * b` gives it."""
+        At an integer: `fields._int_weighted_sum` of the f_j with weights
+        C(x, j).  At a field point: C(x, j) as a running product divided by j
+        step by step, then one `fields._int_sum` of the products f_j C(x, j),
+        each with the summed valuation and the least relative precision."""
         if isinstance(x, int):
-            p, pairs, N, b = self.p, [], math.inf, 1
-            for j, c in enumerate(self.coeffs):
-                if j:
-                    b = b * (x - j + 1) // j  # C(x, j): 0 from j = x + 1 on
-                    if not b:
-                        break
-                if not c._exact_zero:
-                    vb, u = 0, b
-                    while not u % p:
-                        u //= p
-                        vb += 1
-                    v, r = c._val, c._rel
-                    # min(r, max(v + r + 1, 0)) is r for v >= -1
-                    prec = v + vb + (r if v >= -1 else max(v + r + 1, 0))
-                    if prec < N:
-                        N = prec
-                    pairs.append((v, c._mant * b))
-            return (_int_sum(self.desc, pairs, N) if pairs
-                    else LocalFieldElement.zero(self.desc))
+            return _int_weighted_sum(self.desc, ((c, binom_int(x, j)) for j, c
+                                                 in enumerate(self.coeffs)))
         if isinstance(x, Fraction):
             acc = None
             for j, c in enumerate(self.coeffs):
@@ -148,7 +139,7 @@ class MahlerSeries:
                     term = c * int(b)
                 acc = term if acc is None else acc + term
             return acc if acc is not None else LocalFieldElement.zero(self.desc)
-        acc = None
+        pairs, N = [], math.inf
         running = LocalFieldElement.one(
             self.desc, precision or
             (x.precision if x.precision != math.inf else DEFAULT_PRECISION))
@@ -158,9 +149,13 @@ class MahlerSeries:
                 # x of negative valuation the two give different budgets
                 running = (running * (x - (j - 1))).divide(
                     running._coerce_int(j))
-            term = c * running
-            acc = term if acc is None else acc + term
-        return acc if acc is not None else LocalFieldElement.zero(self.desc)
+            if c._exact_zero or running._exact_zero:
+                continue
+            v = c._val + running._val
+            N = min(N, v + min(c._rel, running._rel))
+            pairs.append((v, c._mant * running._mant))
+        return (_int_sum(self.desc, pairs, N) if pairs
+                else LocalFieldElement.zero(self.desc))
 
     def __call__(self, x):
         return self.evaluate(x)
@@ -203,14 +198,16 @@ def parse_series(text: str) -> MahlerSeries:
 # ---------------------------------------------------------------------------
 
 def _delta_at_zero(values):
-    """(Delta^k v)(0) = sum_i (-1)^(k-i) C(k, i) v_i from v_0..v_k, summed
-    in the order i = 0..k; the one forward-difference kernel of this module."""
+    """(Delta^k v)(0) = sum_i (-1)^(k-i) C(k, i) v_i from v_0..v_k; the one
+    forward-difference kernel of this module: one `fields._int_weighted_sum`
+    over Q_p, else (integers) the chain of products and sums."""
     k = len(values) - 1
-    acc = None
-    for i, v in enumerate(values):
-        term = v * (math.comb(k, i) if (k - i) % 2 == 0 else -math.comb(k, i))
-        acc = term if acc is None else acc + term
-    return acc
+    weights = [math.comb(k, i) if (k - i) % 2 == 0 else -math.comb(k, i)
+               for i in range(k + 1)]
+    if (isinstance(values[0], LocalFieldElement)
+            and values[0].desc.family == PADIC):
+        return _int_weighted_sum(values[0].desc, zip(values, weights))
+    return sum(v * w for v, w in zip(values, weights))
 
 
 def expand(f, J: int, p: int, precision: int = DEFAULT_PRECISION) -> MahlerSeries:
@@ -241,8 +238,7 @@ def _callable_of(f):
 # composition
 # ---------------------------------------------------------------------------
 
-def delta_binom_at_zero(f: MahlerSeries, n: int, k: int,
-                        precision: int | None = None) -> LocalFieldElement:
+def delta_binom_at_zero(f: MahlerSeries, n: int, k: int) -> LocalFieldElement:
     """Delta^k C(f(x), n) |_{x=0}, the numeric route.
 
     Evaluates C(f(j), n) at j = 0..k and takes the alternating sum.
@@ -614,13 +610,15 @@ def invert(f: MahlerSeries, K: int, verify_precision: int | None = None
     coefficient k of compose(inverse, f), so it re-checks the equations just
     solved and says nothing about the coefficients past K.
     """
+    if K < 1:
+        raise ValueError(f"inversion needs K >= 1 to hold the identity "
+                         f"coefficient, got K = {K}")
     if not admissible_for_inversion(f):
         raise SingularSystem("series is not an admissible near-identity map")
     desc = f.desc
     # entry (k, n) is delta_binom_at_zero(f, n, k), built from f(0..K) and
     # C(f(j), n) computed once each
-    binoms = [[binom_element(y, n) for n in range(K + 1)]
-              for y in (f.evaluate(j) for j in range(K + 1))]
+    binoms = [binom_row(f.evaluate(j), K) for j in range(K + 1)]
     matrix = [[_delta_at_zero([binoms[j][n] for j in range(k + 1)])
                for n in range(K + 1)] for k in range(K + 1)]
     one = LocalFieldElement.one(desc)

@@ -275,6 +275,7 @@ class TestUsageErrors:
         ("oneparam", "lift", "--levels", "a"),
         ("tables", "--kind", "S", "--bound", "-1"),
         ("mahler", "invert", "--series", "p=3 N=8 coeffs=[0,1]", "-K", "-1"),
+        ("mahler", "invert", "--series", "p=3 N=32 coeffs=[0,1]", "-K", "0"),
         ("loop", "classes", "--m-size", "-1"),
         ("mahler", "compose", "--outer", "p=3 N=8 coeffs=[0,1]",
          "--inner", "p=5 N=8 coeffs=[0,1]"),
@@ -299,7 +300,7 @@ class TestUsageErrors:
             "bad-order", "zero-ball-radius", "critical-inverse",
             "non-bijective-check", "lift-zero-radius", "lift-zero-level",
             "lift-bad-levels", "negative-table-bound",
-            "negative-invert-order", "negative-loop-size",
+            "negative-invert-order", "zero-invert-order", "negative-loop-size",
             "compose-across-fields", "negative-expand-order",
             "table-bound-cap", "mahler-table-bound-cap", "huge-level-check",
             "huge-level-project", "huge-level-thread", "huge-level-witness",

@@ -7,10 +7,11 @@ from fractions import Fraction
 
 import pytest
 
-from localfields.fields import LocalFieldElement, padic
+from localfields.fields import DEFAULT_PRECISION, LocalFieldElement, padic
 from localfields.linalg import SingularSystem, solve_linear
-from localfields.mahler import (MahlerSeries, analytic_compose,
+from localfields.mahler import (MahlerSeries, _delta_at_zero, analytic_compose,
                                 admissible_for_inversion, binom_element,
+                                binom_int, binom_row,
                                 compose, compose_omega, delta_binom_at_zero,
                                 delta_binom_nested, delta_power_at_zero,
                                 expand, invert,
@@ -252,6 +253,12 @@ class TestInvert:
         rhs = [one if k == 1 else zero for k in range(K + 1)]
         assert invert(f, K).coeffs == solve_linear(matrix, rhs)
 
+    @pytest.mark.parametrize("K", [0, -1])
+    def test_truncation_below_one_is_rejected(self, K):
+        idseries = MahlerSeries.from_ints(3, [0, 1], 32)
+        with pytest.raises(ValueError, match=f"K = {K}"):
+            invert(idseries, K)
+
     def test_precondition(self):
         bad = MahlerSeries.from_ints(3, [0, 2, 3], 40)  # |f1 - 1| = 1
         assert not admissible_for_inversion(bad)
@@ -367,3 +374,155 @@ def test_roundtrip_property(coeffs, p, x):
     series = expand(f, max(len(coeffs) - 1, 1), p, 32)
     want = LocalFieldElement.from_int(padic(p), f(x), 32)
     assert series.evaluate(x).same(want)
+
+
+@pytest.mark.parametrize("matrix, rhs", [
+    ([], []), ([[LocalFieldElement.zero(D3)]], [LocalFieldElement.one(D3)])],
+    ids=["empty", "exact-zero"])
+def test_solve_linear_without_pivot_is_singular(matrix, rhs):
+    with pytest.raises(SingularSystem, match="no nonzero pivot available"):
+        solve_linear(matrix, rhs)
+
+
+# ---------------------------------------------------------------------------
+# the exact integer sums against the element-by-element kernels they replace
+# ---------------------------------------------------------------------------
+
+def ref_delta_at_zero(values):
+    """The forward difference as a chain of element products and sums."""
+    k = len(values) - 1
+    acc = None
+    for i, v in enumerate(values):
+        term = v * (math.comb(k, i) if (k - i) % 2 == 0 else -math.comb(k, i))
+        acc = term if acc is None else acc + term
+    return acc
+
+
+def ref_binom_element(x, j):
+    """C(x, j) from its own running product, divided by j!."""
+    acc = LocalFieldElement.one(x.desc, x.precision if x.precision != math.inf
+                                else DEFAULT_PRECISION)
+    for i in range(j):
+        acc = acc * (x - i)
+    if j >= 2 and not acc.is_exact_zero:
+        acc = acc.divide(math.factorial(j))
+    return acc
+
+
+def ref_binom_row(x, K):
+    return [ref_binom_element(x, n) for n in range(K + 1)]
+
+
+def ref_evaluate(series, x, precision=None):
+    """sum f_j C(x, j) at a field point as a chain of element ops."""
+    desc = series.desc
+    acc = None
+    running = LocalFieldElement.one(
+        desc, precision or
+        (x.precision if x.precision != math.inf else DEFAULT_PRECISION))
+    for j, c in enumerate(series.coeffs):
+        if j > 0:
+            running = (running * (x - (j - 1))).divide(running._coerce_int(j))
+        term = c * running
+        acc = term if acc is None else acc + term
+    return acc if acc is not None else LocalFieldElement.zero(desc)
+
+
+def _outcome(fn, *args):
+    """The result, or the type of the exception raised.  Elements compare
+    `==` on exact-zero flag, valuation, mantissa and relative precision, so
+    equal outcomes are the same value known to the same precision, or the
+    same exception type."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # noqa: BLE001 - compared by type
+        return type(exc)
+
+
+@st.composite
+def elements(draw, p):
+    """Exact zeros, apparent zeros and elements of valuation -20..20 with
+    relative precision 1..80 (v < -1 is where an integer operand's budget
+    binds)."""
+    desc = padic(p)
+    kind = draw(st.sampled_from(["exact", "apparent", "element", "element"]))
+    if kind == "exact":
+        return LocalFieldElement.zero(desc)
+    val = draw(st.integers(-20, 20))
+    if kind == "apparent":
+        return LocalFieldElement.apparent_zero(desc, val)
+    rel = draw(st.integers(1, 80))
+    mant = draw(st.integers(1, p ** rel - 1))
+    return LocalFieldElement(desc, val, mant, rel)
+
+
+primes = st.sampled_from([2, 3, 5, 7])
+
+
+def _value(x):
+    """The representative p^val * mantissa as an exact rational."""
+    if x.is_exact_zero or x.is_zero():
+        return Fraction(0)
+    return Fraction(x.desc.p) ** x.valuation * x._mant
+
+
+def _vp(q: Fraction, p: int):
+    if q == 0:
+        return math.inf
+    v, num, den = 0, q.numerator, q.denominator
+    while num % p == 0:
+        num //= p
+        v += 1
+    while den % p == 0:
+        den //= p
+        v -= 1
+    return v
+
+
+@settings(max_examples=400, deadline=None)
+@given(primes.flatmap(lambda p: st.lists(elements(p), min_size=1, max_size=9)))
+def test_delta_at_zero_matches_element_chain(values):
+    assert (_outcome(_delta_at_zero, values)
+            == _outcome(ref_delta_at_zero, values))
+
+
+@settings(max_examples=300, deadline=None)
+@given(primes.flatmap(lambda p: st.tuples(
+    st.lists(elements(p), min_size=0, max_size=9), elements(p),
+    st.one_of(st.none(), st.integers(1, 80)))))
+def test_field_point_evaluate_matches_element_chain(case):
+    coeffs, x, precision = case
+    series = MahlerSeries(x.desc, coeffs)
+    assert (_outcome(series.evaluate, x, precision)
+            == _outcome(ref_evaluate, series, x, precision))
+
+
+@settings(max_examples=300, deadline=None)
+@given(primes.flatmap(elements), st.integers(0, 12))
+def test_binom_row_matches_per_entry_products(x, K):
+    assert _outcome(binom_row, x, K) == _outcome(ref_binom_row, x, K)
+    assert _outcome(binom_element, x, K) == _outcome(ref_binom_element, x, K)
+
+
+@settings(max_examples=200, deadline=None)
+@given(primes.flatmap(elements), st.integers(0, 12))
+def test_binom_element_against_fraction_oracle(x, j):
+    """C(x, j) agrees with the exact binomial of x's representative modulo
+    the precision it claims."""
+    got = _outcome(binom_element, x, j)
+    if isinstance(got, type):
+        return
+    exact = binom_int(_value(x), j)
+    assert _vp(_value(got) - exact, x.desc.p) >= got.precision
+
+
+@settings(max_examples=200, deadline=None)
+@given(primes.flatmap(lambda p: st.lists(elements(p), min_size=1, max_size=9)))
+def test_delta_at_zero_against_fraction_oracle(values):
+    """The forward difference agrees with the exact alternating sum of the
+    representatives modulo the precision it claims."""
+    k = len(values) - 1
+    got = _delta_at_zero(values)
+    exact = sum((Fraction((-1) ** (k - i) * math.comb(k, i)) * _value(v)
+                 for i, v in enumerate(values)), Fraction(0))
+    assert _vp(_value(got) - exact, values[0].desc.p) >= got.precision
