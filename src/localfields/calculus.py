@@ -3,11 +3,12 @@ tuples (x; v_1..v_n; t_1..t_n), their recursive pair-tree refinement, the
 C^n_b norms, differentials, and the product / multi-factor / composition
 operator identities checked against direct recursion.
 
-Two point flavors share one evaluator through a small context interface:
+One tree evaluator; flat points enter through their embedding:
 
-* flat points carry one direction and one scalar per level;
 * tree points are the recursive pairs x_k = (x_{k-1}, v_{k-1}, t_k), whose
-  direction slots are themselves trees (2^n vector slots, 2^n - 1 scalars).
+  direction slots are themselves trees (2^n vector slots, 2^n - 1 scalars);
+* a flat point (one direction and one scalar per level) is evaluated at its
+  canonical slice `embed_phi_point`, where the tree quotient is the flat one.
 
 Operator expressions (difference step, projection-back, shift) are reified
 as words and evaluated by interpretation, never compiled: one level step
@@ -160,6 +161,19 @@ class PhiPoint:
             acc = vec_add(acc, vec_scale(v, t))
             yield acc
 
+    @classmethod
+    def variables(cls, m: int, n: int):
+        """The point of variables (x_1..x_m; v_{1,1}..v_{n,m}; t_1..t_n),
+        numbered in that order, and their count."""
+        nv = m + n * m + n
+        var = [MultiPoly.variable(nv, i, 1) for i in range(nv)]
+        vs = tuple(tuple(var[m + k * m:m + (k + 1) * m]) for k in range(n))
+        return cls(tuple(var[:m]), vs, tuple(var[m + n * m:])), nv
+
+    def values(self) -> list:
+        """The entries in the order of `variables`."""
+        return [*self.x, *(c for v in self.vs for c in v), *self.ts]
+
 
 class TreePoint:
     """Recursive pair point: level 0 wraps a vector, level k is
@@ -192,6 +206,13 @@ class TreePoint:
         return TreePoint(lower=self.lower.add_scaled(other.lower, t),
                          direction=self.direction.add_scaled(other.direction, t),
                          t=self.t + other.t * t)
+
+    def base_vec(self):
+        """The innermost base slot: the vector a level-0 function sees."""
+        pt = self
+        while pt.level:
+            pt = pt.lower
+        return pt.vec
 
     def slots(self):
         """All vector slots, depth-first (2^level of them)."""
@@ -229,82 +250,24 @@ def embed_direction(v, level: int, zero) -> TreePoint:
                      direction=zero_tree(level - 1, len(v), zero), t=zero)
 
 
-def embed_phi_point(pt: PhiPoint, zero=None) -> TreePoint:
+def embed_phi_point(pt: PhiPoint) -> TreePoint:
     """Canonical slice: the tree point at which the tree quotient reproduces
     the flat quotient (fixed variable ordering shipped with the module)."""
-    if zero is None:
-        zero = pt.x[0] * 0
+    zero = pt.x[0] * 0
     node = TreePoint.leaf(pt.x)
     for k, (v, t) in enumerate(zip(pt.vs, pt.ts)):
         node = TreePoint(lower=node, direction=embed_direction(v, k, zero), t=t)
     return node
 
 
-# ---------------------------------------------------------------------------
-# evaluation contexts
-# ---------------------------------------------------------------------------
-
-class PhiContext:
-    """Flat flavor: level step consumes the last (v, t); the shift moves the
-    base point only."""
-
-    @staticmethod
-    def split(pt: PhiPoint):
-        return (PhiPoint(pt.x, pt.vs[:-1], pt.ts[:-1]), pt.vs[-1], pt.ts[-1])
-
-    @staticmethod
-    def shift(lower: PhiPoint, direction, t) -> PhiPoint:
-        return PhiPoint(vec_add(lower.x, vec_scale(direction, t)),
-                        lower.vs, lower.ts)
-
-    @staticmethod
-    def base_vec(pt: PhiPoint):
-        return pt.x
-
-    @staticmethod
-    def variables(m: int, n: int):
-        """The point of variables (x_1..x_m; v_{1,1}..v_{n,m}; t_1..t_n),
-        numbered in that order, and their count."""
-        nv = m + n * m + n
-        var = [MultiPoly.variable(nv, i, 1) for i in range(nv)]
-        vs = tuple(tuple(var[m + k * m:m + (k + 1) * m]) for k in range(n))
-        return PhiPoint(tuple(var[:m]), vs, tuple(var[m + n * m:])), nv
-
-    @staticmethod
-    def values(pt: PhiPoint) -> list:
-        return [*pt.x, *(c for v in pt.vs for c in v), *pt.ts]
-
-
-class TreeContext:
-    """Pair-tree flavor."""
-
-    @staticmethod
-    def split(pt: TreePoint):
-        return (pt.lower, pt.direction, pt.t)
-
-    @staticmethod
-    def shift(lower: TreePoint, direction: TreePoint, t) -> TreePoint:
-        return lower.add_scaled(direction, t)
-
-    @staticmethod
-    def base_vec(pt: TreePoint):
-        while pt.level:
-            pt = pt.lower
-        return pt.vec
-
-
-def context_for(pt):
-    return TreeContext if isinstance(pt, TreePoint) else PhiContext
-
-
-def diff_eval(fn, pt, ctx=None):
+def diff_eval(fn, pt):
     """The iterated difference quotient of a level-0 function at a point.
 
     fn takes a base vector; the recursion runs over the point's levels.
     Division is by the level scalars only.  This is the operator word made
     of difference steps only.
     """
-    return _apply_word(fn, (DIFF,) * pt.level, pt, ctx or context_for(pt))
+    return _apply_word(fn, (DIFF,) * pt.level, pt)
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +352,7 @@ def phi_eval(f: FnRepr, pt: PhiPoint, check_domain: bool = True):
                 "t = 0 needs a polynomial backing; eval_small_t provides the "
                 "surrogate extension for opaque evaluators")
         return _symbolic(f, pt)
-    return diff_eval(f.eval_vec, pt, PhiContext)
+    return diff_eval(f.eval_vec, pt)
 
 
 def eval_small_t(f: FnRepr, pt: PhiPoint):
@@ -400,7 +363,7 @@ def eval_small_t(f: FnRepr, pt: PhiPoint):
     charges N//2 digits for each replaced level, so the returned element's
     own precision IS the documented error bound of the surrogate.
     """
-    entries = PhiContext.values(pt)
+    entries = pt.values()
     descs = [c.desc for c in entries if isinstance(c, LocalFieldElement)]
     if not descs:
         raise CalculusError("eval_small_t needs field-valued points")
@@ -410,7 +373,7 @@ def eval_small_t(f: FnRepr, pt: PhiPoint):
     N = min(precisions) if precisions else 2 * MAX_ORDER
     small = descs[0].uniformizer(N) ** max(N // 2, 1)
     ts = tuple(small if is_zero_scalar(t) else t for t in pt.ts)
-    return diff_eval(f.eval_vec, PhiPoint(pt.x, pt.vs, ts), PhiContext)
+    return diff_eval(f.eval_vec, PhiPoint(pt.x, pt.vs, ts))
 
 
 def _symbolic(f: FnRepr, pt: PhiPoint):
@@ -420,12 +383,11 @@ def _symbolic(f: FnRepr, pt: PhiPoint):
     value realizes the continuous extension at vanishing scalars."""
     sym = f._sym_cache.get(pt.level)
     if sym is None:
-        var_pt, nv = PhiContext.variables(f.arity, pt.level)
+        var_pt, nv = PhiPoint.variables(f.arity, pt.level)
         ext, m = _as_poly(f).extend(nv), f.arity
         sym = f._sym_cache[pt.level] = diff_eval(
-            lambda vec: ext.subst({i: vec[i] for i in range(m)}), var_pt,
-            PhiContext)
-    return sym.eval_cached(PhiContext.values(pt))
+            lambda vec: ext.subst({i: vec[i] for i in range(m)}), var_pt)
+    return sym.eval_cached(pt.values())
 
 
 def _as_poly(f: FnRepr) -> MultiPoly:
@@ -451,7 +413,7 @@ def upsilon_eval(f: FnRepr, pt: TreePoint):
     if pt.level > MAX_ORDER:
         raise CalculusError(f"order {pt.level} exceeds the cap {MAX_ORDER}")
     try:
-        return diff_eval(f.eval_vec, pt, TreeContext)
+        return diff_eval(f.eval_vec, pt)
     except ZeroDenominator:
         if not f.is_polynomial():
             raise
@@ -611,34 +573,35 @@ class OperatorWord:
         return tuple(j + 1 for j, letter in enumerate(self.letters)
                      if letter == SHIFT)
 
-    def apply(self, fn, pt, ctx):
+    def apply(self, fn, pt):
         self.validate()
-        return _apply_word(fn, self.letters, pt, ctx)
+        return _apply_word(fn, self.letters, pt)
 
 
-def _step(fn, op, ctx):
-    """Lift a point function one level by a letter: at the projected-back
-    point (PROJ), at the shifted point (SHIFT), the increment between the
-    two (INC) or its difference quotient by the level scalar (DIFF).  The
-    shifted point is evaluated before the projected one."""
+def _step(fn, op):
+    """Lift a tree-point function one level by a letter: at the
+    projected-back point (PROJ), at the shifted point (SHIFT), the increment
+    between the two (INC) or its difference quotient by the level scalar
+    (DIFF).  The shifted point is evaluated before the projected one."""
     def lifted(pt):
-        lower, direction, t = ctx.split(pt)
+        lower = pt.lower
         if op == PROJ:
             return fn(lower)
-        hi = fn(ctx.shift(lower, direction, t))
+        hi = fn(lower.add_scaled(pt.direction, pt.t))
         if op == SHIFT:
             return hi
         inc = value_sub(hi, fn(lower))
-        return inc if op == INC else scalar_div(inc, t)
+        return inc if op == INC else scalar_div(inc, pt.t)
     return lifted
 
 
-def _apply_word(fn, letters, pt, ctx):
+def _apply_word(fn, letters, pt):
     """The word's value at pt: fn on base vectors, lifted by the letters
-    innermost first."""
-    lifted = functools.reduce(lambda g, op: _step(g, op, ctx), letters,
-                              lambda q: fn(ctx.base_vec(q)))
-    return lifted(pt)
+    innermost first.  A flat point is evaluated at its embedding, which
+    only adds exact zeros, so the flat quotient comes out unchanged."""
+    if isinstance(pt, PhiPoint):
+        pt = embed_phi_point(pt)
+    return functools.reduce(_step, letters, lambda q: fn(q.base_vec()))(pt)
 
 
 def product_rule_terms(k: int, n: int):
@@ -711,25 +674,24 @@ def _finish_report(op, flavor, n, lhs, rhs, detail=None) -> CheckReport:
 # product rule (two factors)
 # ---------------------------------------------------------------------------
 
-def _flavor_context(pt, flavor: str):
-    """The evaluation context of pt, which must match the check's flavor
-    (phi: a flat point, upsilon: a tree point)."""
+def _tree_point(pt, flavor: str) -> TreePoint:
+    """pt as a tree point, after checking that it matches the check's
+    flavor (phi: a flat point, upsilon: a tree point)."""
     if flavor not in ("phi", "upsilon"):
         raise ValueError(f"unknown flavor {flavor!r}: use phi or upsilon")
-    ctx = context_for(pt)
-    if (flavor == "upsilon") != (ctx is TreeContext):
+    if (flavor == "upsilon") != isinstance(pt, TreePoint):
         raise ShapeMismatch(f"{flavor} flavor needs a matching point type")
-    return ctx
+    return pt if flavor == "upsilon" else embed_phi_point(pt)
 
 
-def _word_sum(fs, names, pt, ctx, detail):
+def _word_sum(fs, names, pt, detail):
     """The product-rule expansion: over all terms, the product of each
     factor's operator word at pt.  With a detail list, each term's words
     (named by names) and value are recorded there."""
     rhs = None
     for choices in product_rule_terms(len(fs), pt.level):
         words = term_words(choices, len(fs))
-        term = functools.reduce(value_mul, [w.apply(f.eval_vec, pt, ctx)
+        term = functools.reduce(value_mul, [w.apply(f.eval_vec, pt)
                                             for w, f in zip(words, fs)])
         if detail is not None:
             detail.append(tuple(map(OperatorWord.pretty, words, names))
@@ -749,12 +711,12 @@ def leibniz_check(f: FnRepr, g: FnRepr, pt, flavor: str = "upsilon",
     quotients of f at (x; v_J; t_J) times quotients of g based at
     x + sum_{j in J} v_j t_j.
     """
-    ctx = _flavor_context(pt, flavor)
-    lhs = diff_eval(f.product(g).eval_vec, pt, ctx)
+    tree = _tree_point(pt, flavor)
+    lhs = diff_eval(f.product(g).eval_vec, tree)
     detail = []
     sink = detail if collect_terms else None
     if flavor == "upsilon":
-        rhs = _word_sum((f, g), ("f", "g"), pt, ctx, sink)
+        rhs = _word_sum((f, g), ("f", "g"), tree, sink)
     else:
         rhs = phi_leibniz_subset_sum(f, g, pt, sink)
     return _finish_report("leibniz", flavor, pt.level, lhs, rhs, detail)
@@ -790,12 +752,12 @@ def leibniz_multi_check(fs, pt, flavor: str = "upsilon",
     """k-factor product rule: at every step exactly one factor takes the
     difference step, everything left of it projects back, everything right
     of it shifts."""
-    ctx = _flavor_context(pt, flavor)
+    tree = _tree_point(pt, flavor)
     if not fs:
         raise ShapeMismatch("the product rule needs at least one factor")
-    lhs = diff_eval(functools.reduce(FnRepr.product, fs).eval_vec, pt, ctx)
+    lhs = diff_eval(functools.reduce(FnRepr.product, fs).eval_vec, tree)
     detail = []
-    rhs = _word_sum(fs, [f"f{i + 1}" for i in range(len(fs))], pt, ctx,
+    rhs = _word_sum(fs, [f"f{i + 1}" for i in range(len(fs))], tree,
                     detail if collect_terms else None)
     return _finish_report("leibniz_multi", flavor, pt.level, lhs, rhs, detail)
 
@@ -828,44 +790,40 @@ class _Composite:
     def eval(self, pt):
         return self.poly.eval_cached([c(pt) for c in self.coords])
 
-    def project(self, ctx) -> "_Composite":
-        return _Composite(self.poly,
-                          [_step(c, PROJ, ctx) for c in self.coords])
+    def project(self) -> "_Composite":
+        return _Composite(self.poly, [_step(c, PROJ) for c in self.coords])
 
-    def chain_step(self, ctx):
+    def chain_step(self):
         """Yield (new head, new coordinate-quotient factor) per coordinate."""
         for j, cj in enumerate(self.coords):
-            new_coords = [_step(c, PROJ if a <= j else SHIFT, ctx)
+            new_coords = [_step(c, PROJ if a <= j else SHIFT)
                           for a, c in enumerate(self.coords)]
-            new_coords.append(_step(cj, INC, ctx))
+            new_coords.append(_step(cj, INC))
             yield (_Composite(quotient_in_new_var(self.poly, j), new_coords),
-                   _step(cj, DIFF, ctx))
+                   _step(cj, DIFF))
 
 
-def chain_rhs_terms(f: FnRepr, u_polys, n: int, ctx):
-    """All expansion terms (head composite, scalar factors) after n steps."""
+def chain_rhs_terms(f: FnRepr, u_polys, n: int):
+    """All expansion terms (head composite, scalar factors) after n steps,
+    as functions of tree points."""
     if not isinstance(f.backing, MultiPoly):
         raise CalculusError("the chain expansion needs a polynomial outer map")
-    base_coords = []
-    for up in u_polys:
-        def coord(pt, _up=up):
-            return _up.eval_cached(list(ctx.base_vec(pt)))
-        base_coords.append(coord)
+    base_coords = [lambda pt, _up=up: _up.eval_cached(list(pt.base_vec()))
+                   for up in u_polys]
     terms = [(_Composite(f.backing, base_coords), [])]
     for _ in range(n):
         new_terms = []
         for head, factors in terms:
             # the difference step hits the head: coordinate split
-            for new_head, ufactor in head.chain_step(ctx):
+            for new_head, ufactor in head.chain_step():
                 new_terms.append(
-                    (new_head, [ufactor] + [_step(g, SHIFT, ctx)
-                                            for g in factors]))
+                    (new_head, [ufactor] + [_step(g, SHIFT) for g in factors]))
             # the difference step hits scalar factor a
             for a in range(len(factors)):
                 wrapped = [_step(g, PROJ if b < a else
-                                 (DIFF if b == a else SHIFT), ctx)
+                                 (DIFF if b == a else SHIFT))
                            for b, g in enumerate(factors)]
-                new_terms.append((head.project(ctx), wrapped))
+                new_terms.append((head.project(), wrapped))
         terms = new_terms
     return terms
 
@@ -876,7 +834,7 @@ def chain_check(f: FnRepr, u, pt, flavor: str = "upsilon") -> CheckReport:
 
     n <= 3 is supported (the expansion is assembled recursively; term count
     grows with the coordinate budget m + step)."""
-    ctx = _flavor_context(pt, flavor)
+    tree = _tree_point(pt, flavor)
     n = pt.level
     if n > 3:
         raise CalculusError("chain expansion is implemented for n <= 3")
@@ -889,12 +847,12 @@ def chain_check(f: FnRepr, u, pt, flavor: str = "upsilon") -> CheckReport:
         inner = [up.eval_cached(list(vec)) for up in u_polys]
         return f.eval_vec(tuple(inner))
 
-    lhs = diff_eval(composed, pt, ctx)
+    lhs = diff_eval(composed, tree)
     rhs = None
-    for head, factors in chain_rhs_terms(f, u_polys, n, ctx):
-        term = head.eval(pt)
+    for head, factors in chain_rhs_terms(f, u_polys, n):
+        term = head.eval(tree)
         for g in factors:
-            term = term * g(pt)
+            term = term * g(tree)
         rhs = term if rhs is None else rhs + term
     return _finish_report("chain", flavor, n, lhs, rhs)
 

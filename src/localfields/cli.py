@@ -7,6 +7,7 @@ Exit codes: 0 all checks pass, 1 a check failed, 2 usage or input error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -175,7 +176,7 @@ def emit_tables(kind: str, bound: int) -> str:
         lines.append("k,n,m_indices,value")
         for k in range(bound + 1):
             for n in (1, 2, 3):
-                for ms in mahler._tuples_upto(k, n):
+                for ms in itertools.product(range(k + 1), repeat=n):
                     val = mahler.omega(k, n, ms)
                     if val:
                         lines.append(f"{k},{n},\"{','.join(map(str, ms))}\","
@@ -314,7 +315,7 @@ def cmd_calculus(ns) -> int:
     if ns.action == "check" or ns.fixtures:
         if not ns.fixtures:
             raise UsageError("check needs --fixtures FILE")
-        reports = calculus.run_fixture_file(ns.fixtures)
+        reports = calculus.run_fixture_file(ns.fixtures, ns.precision)
         print(calculus.dump_reports(reports, ns.out or None))
         return 0 if all(r.passed for r in reports) else 1
     kv = dict(tok.partition("=")[::2] for tok in ns.args if "=" in tok)
@@ -353,13 +354,7 @@ def cmd_oneparam(ns) -> int:
         return 0
     if ns.action == "eta":
         G = oneparam.ball_group(ns.s, ns.sv, p, u)
-        x0 = (1,) + (0,) * (G.width - 1)
-        size = max(ns.cycle + 2, 6)
-        elements = tuple(range(size))
-        images = list(elements)
-        for i in range(ns.cycle):
-            images[i] = (i + 1) % ns.cycle
-        sigma = tower.LevelPermutation(1, elements, tuple(images))
+        sigma, x0 = oneparam.eta_anchor(G, ns.cycle)
         try:
             level = oneparam.eta_construct(sigma, x0, G)
         except oneparam.Infeasible as exc:

@@ -12,6 +12,7 @@ valuation +infinity so that no spurious precision is ever claimed.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -262,7 +263,8 @@ class LocalFieldElement:
     def _coerce_int(self, n: int) -> "LocalFieldElement":
         """An integer operand is exactly known; give it enough precision that
         the coercion never binds the result's budget: relative precision one
-        more than the element's absolute precision."""
+        more than the element's absolute precision, and never less than the
+        element's own relative precision (which binds at valuation < -1)."""
         desc = self.desc
         if self._exact_zero:
             return LocalFieldElement.from_int(desc, n, DEFAULT_PRECISION)
@@ -272,7 +274,7 @@ class LocalFieldElement:
         while m % p == 0:
             m //= p
             v += 1
-        rel = self._val + self._rel + 1
+        rel = max(self._val + self._rel + 1, self._rel)
         if desc.family != PADIC:
             return LocalFieldElement.from_int(desc, n, rel + v)
         return _unit(desc, v, m % p ** rel, rel) if rel > 0 \
@@ -485,7 +487,7 @@ def _int_weighted_sum(desc, terms) -> LocalFieldElement:
     """sum c * b over the (c, b) pairs of an element over Q_p = `desc` and an
     int, as one `_int_sum` (exact zero if no term is nonzero), each term with
     the budget of the element product `c * b`: valuation val(c) + v_p(b),
-    relative precision min(rel(c), max(N + 1, 0)) for N = val(c) + rel(c)."""
+    relative precision rel(c), since b is coerced to at least rel(c) digits."""
     p, pairs, N = desc.p, [], math.inf
     for c, b in terms:
         if c.desc is not desc and c.desc != desc:
@@ -496,12 +498,10 @@ def _int_weighted_sum(desc, terms) -> LocalFieldElement:
         while not u % p:
             u //= p
             vb += 1
-        v, r = c._val, c._rel
-        # min(r, max(v + r + 1, 0)) is r for v >= -1
-        prec = v + vb + (r if v >= -1 else max(v + r + 1, 0))
+        prec = c._val + vb + c._rel
         if prec < N:
             N = prec
-        pairs.append((v, c._mant * b))
+        pairs.append((c._val, c._mant * b))
     return _int_sum(desc, pairs, N) if pairs else LocalFieldElement.zero(desc)
 
 
@@ -613,22 +613,7 @@ class ResidueRing:
     def elements(self):
         if self.desc.family == PADIC:
             return iter(range(self.cardinality))
-        G = self.desc.gf()
-
-        def gen():
-            idx = [0] * self.k
-            while True:
-                yield tuple(idx)
-                i = self.k - 1
-                while i >= 0:
-                    idx[i] += 1
-                    if idx[i] < G.q:
-                        break
-                    idx[i] = 0
-                    i -= 1
-                else:
-                    return
-        return gen()
+        return itertools.product(range(self.desc.gf().q), repeat=self.k)
 
     def zero(self):
         return 0 if self.desc.family == PADIC else (0,) * self.k

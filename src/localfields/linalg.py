@@ -22,18 +22,13 @@ def _pivot(m, rows, cols):
                key=lambda rc: m[rc[0]][rc[1]].valuation, default=None)
 
 
-def ultrametric_rank(rows, pivot_threshold=None) -> int:
-    """Rank of a matrix of LocalFieldElements at working precision.
-
-    pivot_threshold: valuation bound for an acceptable pivot; defaults to
-    half of the smallest precision present in the matrix.
-    """
+def ultrametric_rank(rows) -> int:
+    """Rank of a matrix of LocalFieldElements at working precision; a pivot
+    must have valuation below half of the smallest precision present."""
     m = [list(r) for r in rows]
     if not m or not m[0]:
         return 0
-    if pivot_threshold is None:
-        prec = min(x.precision for r in m for x in r)
-        pivot_threshold = prec / 2
+    pivot_threshold = min(x.precision for r in m for x in r) / 2
     rank = 0
     rows_left = list(range(len(m)))
     cols_left = list(range(len(m[0])))
@@ -58,22 +53,22 @@ def ultrametric_rank(rows, pivot_threshold=None) -> int:
     return rank
 
 
-def solve_linear(matrix, rhs, pivot_threshold=None):
+def solve_linear(matrix, rhs):
     """Solve M x = rhs over LocalFieldElements by valuation-pivoted elimination.
 
     matrix: list of rows; rhs: list.  Requires a square system.  Raises
-    SingularSystem when no acceptable pivot exists for some column.
+    SingularSystem when no acceptable pivot exists for some column: one of
+    valuation below half of the smallest nonzero-entry precision.
     """
     n = len(matrix)
     if any(len(r) != n for r in matrix) or len(rhs) != n:
         raise ValueError("need a square system with matching rhs")
     m = [list(r) + [rhs[i]] for i, r in enumerate(matrix)]
-    if pivot_threshold is None:
-        prec = min((x.precision for r in matrix for x in r
-                    if not x.is_exact_zero), default=None)
-        if prec is None:
-            raise SingularSystem("no nonzero pivot available")
-        pivot_threshold = prec / 2
+    prec = min((x.precision for r in matrix for x in r
+                if not x.is_exact_zero), default=None)
+    if prec is None:
+        raise SingularSystem("no nonzero pivot available")
+    pivot_threshold = prec / 2
     perm = []  # (row, col) pivot positions in elimination order
     rows_left = list(range(n))
     cols_left = list(range(n))

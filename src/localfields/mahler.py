@@ -8,6 +8,7 @@ LocalFieldElement arithmetic with explicit precision budgets otherwise.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass, field
@@ -113,7 +114,7 @@ class MahlerSeries:
                      for j, c in enumerate(tail)), default=Fraction(0))
         return worst < threshold
 
-    def evaluate(self, x, precision: int | None = None) -> LocalFieldElement:
+    def evaluate(self, x) -> LocalFieldElement:
         """sum f_j C(x,j).  Integer and Fraction arguments are exact; field
         arguments pay the j! division budget.
 
@@ -141,8 +142,8 @@ class MahlerSeries:
             return acc if acc is not None else LocalFieldElement.zero(self.desc)
         pairs, N = [], math.inf
         running = LocalFieldElement.one(
-            self.desc, precision or
-            (x.precision if x.precision != math.inf else DEFAULT_PRECISION))
+            self.desc,
+            x.precision if x.precision != math.inf else DEFAULT_PRECISION)
         for j, c in enumerate(self.coeffs):
             if j > 0:
                 # size the divisor from `running`, not from the product: for
@@ -427,7 +428,7 @@ def omega_generating_marginal(k: int, n: int, m_n: int):
     if nv == 0:
         return ({(): 1}, {(): 1}) if m_n == k else ({}, {})
     omega_side = {}
-    for ms in _tuples_upto(k, nv):
+    for ms in itertools.product(range(k + 1), repeat=nv):
         w = omega(k, n, ms + (m_n,))
         if w:
             omega_side[ms] = w
@@ -456,15 +457,6 @@ def omega_generating_marginal(k: int, n: int, m_n: int):
             if coeff:
                 prod_side = prod_side + term * coeff
     return omega_side, dict(prod_side.terms)
-
-
-def _tuples_upto(k: int, n: int):
-    if n == 0:
-        yield ()
-        return
-    for first in range(k + 1):
-        for rest in _tuples_upto(k, n - 1):
-            yield (first,) + rest
 
 
 # ---------------------------------------------------------------------------

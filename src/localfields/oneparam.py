@@ -189,6 +189,15 @@ class LocalSubgroupLevel:
                 "ok": cond1 and cond2 and cond3}
 
 
+def eta_anchor(G: MultiplicativeBallGroup, cycle: int):
+    """The fixture (sigma, x0) for `eta_construct`: sigma is the cycle
+    (0 1 .. cycle-1) on max(cycle + 2, 6) level-1 points, x0 = (1, 0, ..)."""
+    elements = tuple(range(max(cycle + 2, 6)))
+    images = tuple((i + 1) % cycle if i < cycle else i for i in elements)
+    return (LevelPermutation(1, elements, images),
+            (1,) + (0,) * (G.width - 1))
+
+
 def eta_construct(sigma: LevelPermutation, x0,
                   G: MultiplicativeBallGroup) -> LocalSubgroupLevel:
     """eta on <x0> sends x0^a to sigma^a; a complement of <x0> (when one

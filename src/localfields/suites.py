@@ -408,14 +408,7 @@ def suite_oneparam_levels(cfg: RunConfig):
     for (p, s, s_v, clen) in fixtures:
         t0 = time.perf_counter()
         G = oneparam.ball_group(s, s_v, p)
-        x0 = (1,) + (0,) * (G.width - 1)
-        size = max(clen + 2, 6)
-        elements = tuple(range(size))
-        images = list(elements)
-        cyc = list(range(clen))
-        for i in cyc:
-            images[i] = cyc[(cyc.index(i) + 1) % clen]
-        sigma = tower.LevelPermutation(1, elements, tuple(images))
+        sigma, x0 = oneparam.eta_anchor(G, clen)
         try:
             level = oneparam.eta_construct(sigma, x0, G)
             checks = level.verify_conditions()

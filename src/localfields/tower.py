@@ -385,20 +385,19 @@ def parse_one_line(text: str) -> LevelPermutation:
 # ---------------------------------------------------------------------------
 
 def level_project(g: DiffRepr, k: int, reps_per_class: int = 2,
-                  exhaustive_bound: int = 243,
                   precision: int = DEFAULT_PRECISION) -> LevelPermutation:
     """The permutation induced by g on the level-k residues of its domain.
 
     Well-definedness (independence of the representative) is checked with
     reps_per_class representatives per class, exhaustively when the ring is
-    at most exhaustive_bound elements and reps_per_class is None.
+    at most 243 elements and reps_per_class is None.
     """
     desc = g.desc
     codes = g.domain.residues(k)
     ring = ResidueRing(desc, k)
     if reps_per_class is None:
         # exhaustive regime: cover every class two levels deeper
-        if desc.residue_cardinality(k) <= exhaustive_bound:
+        if desc.residue_cardinality(k) <= 243:
             count = desc.residue_size ** 2
         else:
             count = 2

@@ -18,8 +18,7 @@ from localfields.calculus import (CharacteristicObstruction, DomainViolation,
                                   leibniz_multi_check, phi_eval,
                                   product_rule_terms, run_fixture_file,
                                   run_fixture_line, term_words, upsilon_eval)
-from localfields.calculus import (PhiContext, TreeContext, _as_poly,
-                                  chain_rhs_terms, is_zero_scalar,
+from localfields.calculus import (_as_poly, chain_rhs_terms, is_zero_scalar,
                                   phi_leibniz_subset_sum, scalar_div,
                                   value_add, value_mul, value_sub)
 from localfields.fields import LocalFieldElement, laurent, padic
@@ -283,7 +282,6 @@ class TestSliceCorrespondence:
         # subset term indexed by the steps where the first factor took the
         # difference; this is the restriction argument connecting the two
         # flavors of the product rule, verified term by term
-        from localfields.calculus import TreeContext
         rng = random.Random(33)
         for _ in range(60):
             n = rng.randint(1, 3)
@@ -295,8 +293,8 @@ class TestSliceCorrespondence:
             tree = embed_phi_point(PhiPoint(x, vs, ts))
             for choices in product_rule_terms(2, n):
                 wf, wg = term_words(choices, 2)
-                tree_val = wf.apply(f.eval_vec, tree, TreeContext) * \
-                    wg.apply(g.eval_vec, tree, TreeContext)
+                tree_val = wf.apply(f.eval_vec, tree) * \
+                    wg.apply(g.eval_vec, tree)
                 J = [j for j, c in enumerate(choices) if c == 0]
                 S = [j for j, c in enumerate(choices) if c == 1]
                 fpt = PhiPoint(x, tuple(vs[j] for j in J),
@@ -431,14 +429,13 @@ class TestChain:
         # the head coordinate count grows by one per difference step hitting
         # it (m coordinates, then m+1, then m+2) and the step that hits the
         # head splits into one term per coordinate
-        from localfields.calculus import TreeContext, chain_rhs_terms
         for m in (1, 2):
             f = fn_q("x1" if m == 1 else "x1*x2", m)
             u = [parse_poly("x^2", 1).to_fraction_poly() for _ in range(m)]
-            terms1 = chain_rhs_terms(f, u, 1, TreeContext)
+            terms1 = chain_rhs_terms(f, u, 1)
             assert len(terms1) == m
             assert all(len(head.coords) == m + 1 for head, _ in terms1)
-            terms2 = chain_rhs_terms(f, u, 2, TreeContext)
+            terms2 = chain_rhs_terms(f, u, 2)
             # per step-1 term: (m+1) head splits + 1 factor hit
             assert len(terms2) == m * (m + 1) + m
             head_sizes = {len(head.coords) for head, _ in terms2}
@@ -503,8 +500,47 @@ class TestTreeShapes:
 # ---------------------------------------------------------------------------
 # differential tests: the level-step primitive, the symbolic quotient and
 # the shared product-rule expansion against the per-case implementations
-# they replaced, kept below as ref_* (exact ==, exception types included)
+# they replaced, kept below as ref_* (exact ==, exception types included).
+# The reference keeps a separate flat evaluation context, so at flat points
+# these tests compare the tree evaluator at the embedding with the direct
+# flat recursion.
 # ---------------------------------------------------------------------------
+
+class RefPhiContext:
+    """Flat flavor: the level step consumes the last (v, t); the shift
+    moves the base point only."""
+
+    @staticmethod
+    def split(pt):
+        return (PhiPoint(pt.x, pt.vs[:-1], pt.ts[:-1]), pt.vs[-1], pt.ts[-1])
+
+    @staticmethod
+    def shift(lower, direction, t):
+        return PhiPoint(tuple(x + v * t for x, v in zip(lower.x, direction)),
+                        lower.vs, lower.ts)
+
+    @staticmethod
+    def base_vec(pt):
+        return pt.x
+
+
+class RefTreeContext:
+    """Pair-tree flavor."""
+
+    @staticmethod
+    def split(pt):
+        return (pt.lower, pt.direction, pt.t)
+
+    @staticmethod
+    def shift(lower, direction, t):
+        return lower.add_scaled(direction, t)
+
+    @staticmethod
+    def base_vec(pt):
+        while pt.level:
+            pt = pt.lower
+        return pt.vec
+
 
 def ref_apply_word(fn, letters, pt, ctx):
     if not letters:
@@ -535,7 +571,7 @@ def ref_phi_symbolic(f, n):
     pt = PhiPoint(tuple(xs), tuple(tuple(v) for v in vs), tuple(ts))
     ext = _as_poly(f).extend(nv)
     return ref_diff_eval(lambda vec: ext.subst({i: vec[i] for i in range(m)}),
-                         pt, PhiContext)
+                         pt, RefPhiContext)
 
 
 def ref_upsilon_symbolic(f, n):
@@ -557,7 +593,7 @@ def ref_upsilon_symbolic(f, n):
     pt = build(n)
     ext = _as_poly(f).extend(nv)
     return ref_diff_eval(lambda vec: ext.subst({i: vec[i] for i in range(m)}),
-                         pt, TreeContext)
+                         pt, RefTreeContext)
 
 
 def ref_phi_eval(f, pt):
@@ -569,12 +605,12 @@ def ref_phi_eval(f, pt):
             values.extend(v)
         values.extend(pt.ts)
         return ref_phi_symbolic(f, pt.level).eval_cached(values)
-    return ref_diff_eval(f.eval_vec, pt, PhiContext)
+    return ref_diff_eval(f.eval_vec, pt, RefPhiContext)
 
 
 def ref_upsilon_eval(f, pt):
     try:
-        return ref_diff_eval(f.eval_vec, pt, TreeContext)
+        return ref_diff_eval(f.eval_vec, pt, RefTreeContext)
     except ZeroDenominator:
         if not f.is_polynomial():
             raise
@@ -759,7 +795,7 @@ def _diff_case(data, symbolic=False):
     dim = 1 if symbolic and flavor == "upsilon" and n == 3 \
         else data.draw(st.integers(1, 2))
     pt = data.draw(field_points(desc, n, dim, flavor))
-    ctx = TreeContext if flavor == "upsilon" else PhiContext
+    ctx = RefTreeContext if flavor == "upsilon" else RefPhiContext
     return desc, n, dim, flavor, pt, ctx
 
 
@@ -770,7 +806,7 @@ def test_words_and_quotients_match_reference(data):
     f = data.draw(field_fns(desc, dim))
     letters = tuple(data.draw(st.lists(st.sampled_from(["D", "pi", "P"]),
                                        min_size=n, max_size=n)))
-    assert outcome(lambda: OperatorWord(letters).apply(f.eval_vec, pt, ctx)) \
+    assert outcome(lambda: OperatorWord(letters).apply(f.eval_vec, pt)) \
         == outcome(lambda: ref_apply_word(f.eval_vec, letters, pt, ctx))
     assert outcome(lambda: diff_eval(f.eval_vec, pt)) \
         == outcome(lambda: ref_diff_eval(f.eval_vec, pt, ctx))
@@ -850,8 +886,9 @@ def test_chain_rule_matches_reference(data):
     got = outcome(new_chain)
     event(f"{flavor} chain: {got[0]} {getattr(got[1], '__name__', '')}")
     assert got == outcome(ref_chain)
-    new_terms = [outcome(lambda: ref_term_value(h.poly, h.coords, fac, pt))
-                 for h, fac in chain_rhs_terms(f, u, n, ctx)]
+    tree = pt if flavor == "upsilon" else embed_phi_point(pt)
+    new_terms = [outcome(lambda: ref_term_value(h.poly, h.coords, fac, tree))
+                 for h, fac in chain_rhs_terms(f, u, n)]
     ref_terms = [outcome(lambda: ref_term_value(*term, pt))
                  for term in ref_chain_rhs_terms(f, u, n, ctx)]
     assert new_terms == ref_terms

@@ -67,6 +67,16 @@ class TestCompute:
         rec = json.loads(out.splitlines()[0])
         assert rec["status"] == "PASS" and rec["margin"] == "0"
 
+    def test_calculus_check_honours_precision(self, capsys, tmp_path):
+        path = tmp_path / "fx.txt"
+        path.write_text(
+            "leibniz phi n=1 p=3 f=x^2 g=x x=1 vs=1 ts=1 expect=PASS\n")
+        code, out, _ = run_cli(capsys, "-N", "8", "calculus", "check",
+                               "--fixtures", str(path))
+        assert code == 0
+        rec = json.loads(out)
+        assert rec["lhs"].endswith(" mod 3^8>") and "mod 3^24" not in out
+
     def test_corrupted_fixture_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "fx.txt"
         path.write_text("leibniz phi n=2 p=3 f=x g=x x=1 vs=1 ts=1\n")

@@ -348,7 +348,7 @@ def ref_coerce_int(a, n):
     if n:
         while n % a.desc.p ** (v + 1) == 0:
             v += 1
-    return ref_from_int(a.desc, n, a._val + a._rel + v + 1)
+    return ref_from_int(a.desc, n, max(a._val + a._rel + 1, a._rel) + v)
 
 
 def ref_add(a, b):
@@ -749,6 +749,16 @@ def test_qp_results_agree_with_fraction_oracle(p, n1, n2, data):
         assert_sound(x.inv_unit(), 1 / q1)
 
 
+def test_int_operand_keeps_the_relative_precision_at_negative_n():
+    # 4 * 3^-5 known mod 3^-3: the integer 3 is coerced to the element's two
+    # relative digits, so multiplying or dividing by it loses none
+    x = LocalFieldElement(D3, -5, 4, 2)
+    exact = Fraction(4, 3 ** 5)
+    for got, want, val in ((x * 3, exact * 3, -4), (x.divide(3), exact / 3, -6)):
+        assert got == LocalFieldElement(D3, val, 4, 2)
+        assert_sound(got, want)
+
+
 # ---------------------------------------------------------------------------
 # Polynomial and Mahler evaluation as one exact integer sum
 # ---------------------------------------------------------------------------
@@ -829,12 +839,9 @@ def test_eval_cached_matches_element_loop(desc, nvars, data):
     assert got == ref_eval_cached(poly, values)
     assert poly.eval(values) == got
     # element products are associative in val, rel and mantissa, so the
-    # naive evaluator agrees; an int operand is coerced to one more digit
-    # than the other factor's absolute precision, which for a factor of
-    # valuation <= -2 loses digits once per product, so at int points the
-    # two agree only for coefficients of valuation >= -1
-    if kind != "int" or all(c.valuation >= -1 for c in poly.terms.values()):
-        assert got == ref_eval(poly, values)
+    # naive evaluator agrees; an int operand is coerced to at least the other
+    # factor's relative precision, so a product by an int loses no digits
+    assert got == ref_eval(poly, values)
     if isinstance(got, LocalFieldElement):
         assert_normalised(got)
 
