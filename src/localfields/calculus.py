@@ -177,14 +177,23 @@ class PhiPoint:
 
 class TreePoint:
     """Recursive pair point: level 0 wraps a vector, level k is
-    (lower, direction, t) with direction a level-(k-1) TreePoint."""
+    (lower, direction, t) with direction a level-(k-1) TreePoint.
 
-    __slots__ = ("vec", "lower", "direction", "t", "level")
+    zero_t says that t is an exact zero (on a leaf: every slot is), and
+    all_zero that the whole tree is exact zeros; `zero_tree` and
+    `embed_direction` set them, and `add_scaled` skips what they mark.
+    """
 
-    def __init__(self, vec=None, lower=None, direction=None, t=None):
+    __slots__ = ("vec", "lower", "direction", "t", "level", "zero_t",
+                 "all_zero")
+
+    def __init__(self, vec=None, lower=None, direction=None, t=None,
+                 zero_t=False):
+        self.zero_t = zero_t
         if vec is not None:
             self.vec, self.lower, self.direction, self.t = tuple(vec), None, None, None
             self.level = 0
+            self.all_zero = zero_t
         else:
             if lower.level != direction.level:
                 raise ShapeMismatch(
@@ -192,20 +201,25 @@ class TreePoint:
             self.vec = None
             self.lower, self.direction, self.t = lower, direction, t
             self.level = lower.level + 1
+            self.all_zero = zero_t and lower.all_zero and direction.all_zero
 
     @classmethod
     def leaf(cls, vec):
         return cls(vec=vec)
 
     def add_scaled(self, other: "TreePoint", t) -> "TreePoint":
-        """self + t * other, componentwise over the whole tree."""
+        """self + t * other, componentwise over the whole tree.  An exact
+        zero of other adds nothing (`_sum` returns the other operand), so a
+        part of self that meets one is kept as it is."""
         if self.level != other.level:
             raise ShapeMismatch("tree shapes differ")
+        if other.all_zero:
+            return self
         if self.level == 0:
             return TreePoint.leaf(vec_add(self.vec, vec_scale(other.vec, t)))
         return TreePoint(lower=self.lower.add_scaled(other.lower, t),
                          direction=self.direction.add_scaled(other.direction, t),
-                         t=self.t + other.t * t)
+                         t=self.t if other.zero_t else self.t + other.t * t)
 
     def base_vec(self):
         """The innermost base slot: the vector a level-0 function sees."""
@@ -235,10 +249,12 @@ class TreePoint:
 
 
 def zero_tree(level: int, dim: int, zero) -> TreePoint:
+    """The tree whose slots and scalars are all the exact zero `zero`."""
     if level == 0:
-        return TreePoint.leaf((zero,) * dim)
+        return TreePoint(vec=(zero,) * dim, zero_t=True)
     return TreePoint(lower=zero_tree(level - 1, dim, zero),
-                     direction=zero_tree(level - 1, dim, zero), t=zero)
+                     direction=zero_tree(level - 1, dim, zero), t=zero,
+                     zero_t=True)
 
 
 def embed_direction(v, level: int, zero) -> TreePoint:
@@ -247,7 +263,8 @@ def embed_direction(v, level: int, zero) -> TreePoint:
     if level == 0:
         return TreePoint.leaf(v)
     return TreePoint(lower=embed_direction(v, level - 1, zero),
-                     direction=zero_tree(level - 1, len(v), zero), t=zero)
+                     direction=zero_tree(level - 1, len(v), zero), t=zero,
+                     zero_t=True)
 
 
 def embed_phi_point(pt: PhiPoint) -> TreePoint:

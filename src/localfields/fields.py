@@ -505,6 +505,46 @@ def _int_weighted_sum(desc, terms) -> LocalFieldElement:
     return _int_sum(desc, pairs, N) if pairs else LocalFieldElement.zero(desc)
 
 
+def _residue_ops(desc, N):
+    """The ring O/pi^N (O the integers of `desc`, N >= 1) on plain canonical
+    representatives: ints in [0, p^N) over Q_p, packed series of N codes over
+    F_q((theta)).  Returns (rep, horner, mul, sub, inv, low): rep(c)
+    represents an element c of valuation >= 0 known at least mod pi^N
+    (p^val * mant, resp. mant shifted up val slots); horner(cs, x) is the
+    polynomial with coefficients cs, highest degree first, at x; inv
+    inverts a unit; low(a) is nonzero exactly when a is a unit."""
+    if desc.family == PADIC:
+        p, M = desc.p, desc.p ** N
+
+        def horner(cs, x):
+            acc = 0
+            for c in cs:
+                acc = (acc * x + c) % M
+            return acc
+
+        return (lambda c: p ** c._val * c._mant % M, horner,
+                lambda a, b: a * b % M,
+                lambda a, b: (a - b) % M,
+                lambda a: pow(a, -1, M),
+                lambda a: a % p)
+    G = desc.gf()
+    bits = G.slot_bits
+    mask = (1 << bits * N) - 1
+    add, mul = G.packed_add, G.packed_mul
+
+    def horner(cs, x):
+        acc = 0
+        for c in cs:
+            acc = add(mul(acc, x, N), c, N)
+        return acc
+
+    return (lambda c: (c._mant << bits * c._val) & mask, horner,
+            lambda a, b: mul(a, b, N),
+            lambda a, b: G.packed_sub(a, b, N),
+            lambda a: G.packed_inv(a, N),
+            lambda a: a & ((1 << bits) - 1))
+
+
 # ---------------------------------------------------------------------------
 # element literals (external interface shared by the CLI and fixtures)
 # ---------------------------------------------------------------------------
@@ -661,8 +701,9 @@ class ResidueRing:
         """
         reps = []
         q = self.desc.residue_size
+        lifted = self.lift(a, precision)
         for j in range(count):
-            base = self.lift(a, precision)
+            base = lifted
             if j:
                 if self.desc.family == PADIC:
                     bump = LocalFieldElement.from_int(

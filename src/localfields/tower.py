@@ -14,8 +14,8 @@ from functools import partial
 
 from .calculus import FnRepr, cnb_norm
 from .fields import (DEFAULT_PRECISION, FieldDescriptor, LocalFieldElement,
-                     PADIC, ResidueRing, carmichael_exponent, format_element,
-                     project_down)
+                     PADIC, ResidueRing, _residue_ops, carmichael_exponent,
+                     format_element, project_down)
 from .poly import MultiPoly
 
 MAX_LEVEL_CLASSES = 10 ** 6  # largest residue ring a level enumerates
@@ -194,15 +194,13 @@ class DiffRepr:
         """g^-1, solving g(x) = y from x = y.
 
         A polynomial backing is inverted by Newton's iteration, valid where
-        g'(x) is a unit; Mahler and opaque backings, which have no
+        g'(x) is a unit (`_newton_inverse`, which keeps its prepared
+        representatives); Mahler and opaque backings, which have no
         derivative, by the fixed point x = y - h(x) with h = g - id, valid
         in the contraction regime ||g - id|| <= |pi|.
         """
         if isinstance(self.backing, MultiPoly):
-            g = self.backing
-            dg = MultiPoly(1, {(e - 1,): c * e
-                               for (e,), c in g.terms.items() if e})
-            inv = partial(_newton_solve, g, dg)
+            inv = _newton_inverse(self.backing)
         else:
             inv = partial(_fixed_point_solve, self)
         return DiffRepr(self.desc, inv, self.domain, self.bound_s,
@@ -225,8 +223,54 @@ def _eval_at(poly: MultiPoly, x: LocalFieldElement) -> LocalFieldElement:
         x.desc)
 
 
+def _newton_inverse(g: MultiPoly):
+    """y -> the x with g(x) = y.  Where a guard holds (README, "Precision
+    model": metadata first, then Hensel's condition on representatives) the
+    iteration runs on plain representatives mod pi^N, with g's and g''s
+    prepared once per N, and builds one element at the end; elsewhere
+    `_newton_solve` runs it on elements.  Both give the same element."""
+    dg = MultiPoly(1, {(e - 1,): c * e for (e,), c in g.terms.items() if e})
+    coeffs = [*g.terms.values(), *dg.terms.values()]
+    desc, floor, prepared = None, 0, {}
+    if coeffs and all(c.__class__ is LocalFieldElement and c.valuation >= 0
+                      and c.desc is coeffs[0].desc for c in coeffs):
+        desc, floor = coeffs[0].desc, min(c.precision for c in coeffs)
+
+    def solve(y):
+        if (y.__class__ is not LocalFieldElement or y.desc is not desc
+                or y.is_exact_zero or y.valuation < 0
+                or not 1 <= y.precision <= floor):
+            return _newton_solve(g, dg, y)
+        N = y.precision
+        if N not in prepared:
+            ops = _residue_ops(desc, N)
+            zero = LocalFieldElement.zero(desc)
+            prepared[N] = ops, *([ops[0](p.terms.get((e,), zero))
+                                  for e in range(p.degree(), -1, -1)]
+                                 for p in (g, dg))
+        (rep, horner, mul, sub, inv, low), gs, dgs = prepared[N]
+        x = target = rep(y)
+        residual = sub(horner(gs, x), target)
+        slope = horner(dgs, x)
+        if not low(slope) or low(residual):
+            return _newton_solve(g, dg, y)
+        # Hensel: the root mod pi^N is unique, the loop cannot raise and
+        # each step gains a digit, so g'(x)'s inverse is updated, not
+        # recomputed
+        v = inv(slope)
+        while residual:
+            x = sub(x, mul(residual, v))
+            residual = sub(horner(gs, x), target)
+            if residual:
+                v = sub(v, mul(v, sub(mul(horner(dgs, x), v), 1)))
+        return LocalFieldElement(desc, 0, x, N)
+
+    return solve
+
+
 def _newton_solve(g: MultiPoly, dg: MultiPoly, y: LocalFieldElement):
-    """The x with g(x) = y by x <- x - (g(x) - y)/g'(x), where dg = g'.
+    """The x with g(x) = y by x <- x - (g(x) - y)/g'(x), where dg = g',
+    on elements: `_newton_inverse` runs it outside its guard.
 
     While g'(x) is a unit and |g(x) - y| < 1 (as near the identity), the
     valuation of the residual g(x) - y at least doubles per step, so with

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from localfields.fields import (LAURENT, LocalFieldElement, ResidueRing,
-                                laurent, padic)
+                                format_element, laurent, padic)
 from localfields.poly import MultiPoly
 from localfields.tower import (Ball, BallNotPreserved, ConstraintViolated,
                                DiffRepr, Domain, Incompatible,
@@ -21,7 +21,7 @@ from localfields.tower import (Ball, BallNotPreserved, ConstraintViolated,
                                conjugation_thread, functoriality_check,
                                group_metric, level_project, parse_one_line,
                                product_of_commutators,
-                               witness_flat_polynomial)
+                               witness_flat_polynomial, _eval_at)
 
 D2, D3 = padic(2), padic(3)
 
@@ -172,7 +172,133 @@ def near_identity_and_point(draw):
     return g, ring.representatives(code, j + 1, N)[j], N
 
 
+def ref_newton_solve(g, dg, y):
+    """Newton's iteration x <- x - (g(x) - y)/g'(x) on elements, the loop
+    a polynomial inverse runs outside its kernel's guard: the reference the
+    kernel must match, value or exception."""
+    x = y
+    residual = _eval_at(g, x) - y
+    if residual.is_exact_zero:
+        return x
+    steps = residual.precision.bit_length() + 2
+    for _ in range(steps):
+        slope = _eval_at(dg, x)
+        if slope.is_zero() or slope.valuation != 0:
+            raise NotWellDefined(f"g'(x) is not a unit at x = "
+                                 f"{format_element(x)}")
+        x_next = x - residual.divide(slope)
+        if x_next == x:
+            return x
+        x = x_next
+        residual = _eval_at(g, x) - y
+    raise NotWellDefined(f"Newton inversion at y = {format_element(y)} "
+                         f"did not converge in {steps} steps")
+
+
+def derivative(g: MultiPoly) -> MultiPoly:
+    return MultiPoly(1, {(e - 1,): c * e for (e,), c in g.terms.items() if e})
+
+
+def outcome(fn, *args):
+    """fn's value, or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # the kernel must raise what the loop raises
+        return type(exc), str(exc)
+
+
+NEWTON_FIELDS = [padic(2), padic(3), padic(5), laurent(2), laurent(3),
+                 laurent(2, 2), laurent(3, 2), laurent(2, 7)]
+
+
+@st.composite
+def newton_case(draw):
+    """(g, y) over Q_2, Q_3, Q_5, F_2, F_3, F_4, F_9 and F_128((theta)):
+    g = sum_{d <= 4} c_d x^d near the identity (c_1 in 1 + pi*O, the rest
+    in pi*O), with integral coefficients (so g' may be a non-unit and
+    g(y) - y a unit), or with coefficients of valuation -1 up.  y is
+    integral or of valuation -1 up.  y has precision N - 2 .. N and each
+    coefficient N - 1 .. N + 3; exact zeros, and apparent zeros (all
+    digits drawn 0), occur among them."""
+    desc = draw(st.sampled_from(NEWTON_FIELDS))
+    N = draw(st.integers(1, 20))
+    q = desc.residue_size
+
+    def element(least_val, prec):
+        if draw(st.integers(0, 12)) == 0:
+            return LocalFieldElement.zero(desc)
+        val = draw(st.integers(least_val, max(least_val, min(prec, 2))))
+        rel = max(prec - val, 0)
+        digits = draw(st.lists(st.integers(0, q - 1), max_size=rel))
+        if desc.family == LAURENT:
+            return LocalFieldElement.from_laurent_coeffs(desc, val, digits,
+                                                         prec)
+        return LocalFieldElement(
+            desc, val, sum(d * q ** i for i, d in enumerate(digits)), rel)
+
+    def coefficient_precision():
+        return N + draw(st.integers(-1, 3))
+
+    least = draw(st.sampled_from([1, 0, -1]))
+    terms = {(d,): element(least, coefficient_precision())
+             for d in draw(st.sets(st.integers(0, 4), min_size=1))}
+    if least == 1:
+        one = LocalFieldElement.one(desc, coefficient_precision())
+        terms[(1,)] = one + terms.get((1,), LocalFieldElement.zero(desc))
+    y = element(draw(st.sampled_from([0, 0, 0, -1])),
+                N - draw(st.integers(0, 2)))
+    return MultiPoly(1, terms), y
+
+
 class TestInverse:
+    # 600 examples; about a quarter meet the kernel's guard (metadata and
+    # Hensel's condition), the rest run the element loop, and about half
+    # of all raise
+    @settings(max_examples=600, deadline=None)
+    @given(newton_case())
+    def test_newton_kernel_matches_element_loop(self, case):
+        g, y = case
+        inverse = DiffRepr.from_poly(y.desc, g).inverse()
+        assert outcome(inverse, y) == outcome(ref_newton_solve, g,
+                                              derivative(g), y)
+
+    @pytest.mark.parametrize("desc, coeffs, y", [
+        (laurent(2), [(0, [0, 1]), (1, [1]), (2, [0, 1])], [1, 0, 1]),
+        (laurent(3, 2), [(1, [1]), (3, [0, 5])], [4, 2]),
+        (padic(3), [(0, [0, 0, 1]), (1, [1]), (3, [0, 1])], [2, 1]),
+        (padic(5), [(0, [0, 3]), (1, [1, 0, 1]), (4, [0, 2])], [2, 4, 1]),
+        (padic(2), [(0, [0, 1]), (1, [1]), (2, [0, 1])], [1, 1, 0, 1]),
+    ], ids=["F2", "F9", "Q3", "Q5", "Q2"])
+    def test_hensel_input_makes_no_element_division(self, monkeypatch,
+                                                    desc, coeffs, y):
+        # y and every coefficient at precision 16, g(y) = y mod pi and g'(y)
+        # a unit: the kernel runs, where the element loop divides
+        def element(digits):
+            if desc.family == LAURENT:
+                return LocalFieldElement.from_laurent_coeffs(desc, 0, digits,
+                                                             16)
+            return LocalFieldElement.from_int(
+                desc, sum(d * desc.p ** i for i, d in enumerate(digits)), 16)
+
+        g = MultiPoly(1, {(d,): element(c) for d, c in coeffs})
+        y = element(y)
+        divisions = []
+        divide = LocalFieldElement.divide
+
+        def counted(self, other):
+            divisions.append(other)
+            return divide(self, other)
+
+        monkeypatch.setattr(LocalFieldElement, "divide", counted)
+        expected = ref_newton_solve(g, derivative(g), y)
+        assert divisions
+
+        def no_divide(self, other):
+            raise AssertionError("element division under Hensel's condition")
+
+        monkeypatch.setattr(LocalFieldElement, "divide", no_divide)
+        assert DiffRepr.from_poly(desc, g).inverse()(y) == expected
+
     @settings(max_examples=200, deadline=None)
     @given(near_identity_and_point())
     def test_newton_matches_fixed_point(self, case):
