@@ -10,7 +10,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .calculus import FnRepr, cnb_norm, default_sampler
 from .fields import (DEFAULT_PRECISION, FieldDescriptor, LocalFieldElement,
@@ -36,10 +35,10 @@ class DegenerateSample(OneParamError):
     pass
 
 
-# the groups are enumerated element by element, and eta_construct searches
-# pairs of elements for a complement (about 20 s at order 128 and over a
-# minute at 256, CPython 3.11 on a 2-vCPU host); the largest group any suite
-# builds has order 81
+# the groups are enumerated element by element, and verify_conditions checks
+# every pair of elements (eta takes about 0.6 s at order 128 and, with the cap
+# raised, 1.7 s at 256 and 6 s at 512, CPython 3.11 on a 2-vCPU host); the
+# largest group any suite builds has order 81
 MAX_GROUP_ORDER = 128
 
 
@@ -119,16 +118,42 @@ class MultiplicativeBallGroup:
             o += 1
         return o
 
-    def exponent(self) -> int:
-        return lcm(*[self.element_order(a) for a in self.elements()])
+    def basis(self):
+        """[(generator, order)], G the direct sum of their cyclic groups.
 
-    def cyclic_subgroup(self, a):
-        out = [self.identity()]
-        cur = a
-        while cur != self.identity():
-            out.append(cur)
-            cur = self.mul(cur, a)
+        In char p, (1 - b theta^e)^(p^k) = 1 - b^(p^k) theta^(e p^k): with b
+        over the F_p-basis p^0..p^(u-1) of GF(q) and e in [s, s_v) prime to p
+        or with e/p < s, leading terms of powers fill each theta^j once per b
+        (Neukirch, ANT II §5); the order is the least p^m with e p^m >= s_v.
+        """
+        F = self.desc.gf()
+        out = []
+        for e in range(self.s, self.s_v):
+            if e % self.p or e // self.p < self.s:
+                order = 1
+                while e * order < self.s_v:
+                    order *= self.p
+                for i in range(self.u):
+                    g = [0] * self.width
+                    g[e - self.s] = F.neg(self.p ** i)
+                    out.append((tuple(g), order))
         return out
+
+    def coordinates(self) -> dict:
+        """{g: (c_1, c_2, ..)} with g = prod g_i^(c_i) over `basis()`."""
+        coords = {self.identity(): ()}
+        for g, order in self.basis():
+            pows = [self.identity()]
+            for _ in range(order - 1):
+                pows.append(self.mul(pows[-1], g))
+            coords = {self.mul(h, gc): c + (k,)
+                      for h, c in coords.items() for k, gc in enumerate(pows)}
+        if len(coords) != self.order:
+            raise OneParamError("the basis products miss elements")
+        return coords
+
+    def exponent(self) -> int:
+        return max(order for _, order in self.basis())
 
     def to_field(self, a, precision: int | None = None) -> LocalFieldElement:
         precision = precision or max(self.s_v, DEFAULT_PRECISION)
@@ -192,6 +217,8 @@ class LocalSubgroupLevel:
 def eta_anchor(G: MultiplicativeBallGroup, cycle: int):
     """The fixture (sigma, x0) for `eta_construct`: sigma is the cycle
     (0 1 .. cycle-1) on max(cycle + 2, 6) level-1 points, x0 = (1, 0, ..)."""
+    if cycle < 1:
+        raise ValueError(f"anchor cycle length {cycle} must be at least 1")
     elements = tuple(range(max(cycle + 2, 6)))
     images = tuple((i + 1) % cycle if i < cycle else i for i in elements)
     return (LevelPermutation(1, elements, images),
@@ -200,68 +227,39 @@ def eta_anchor(G: MultiplicativeBallGroup, cycle: int):
 
 def eta_construct(sigma: LevelPermutation, x0,
                   G: MultiplicativeBallGroup) -> LocalSubgroupLevel:
-    """eta on <x0> sends x0^a to sigma^a; a complement of <x0> (when one
-    exists) is sent to the identity.  Infeasible reports the honest
-    obstruction: order divisibility, or no complement splitting off <x0>.
+    """eta = sigma^phi for a character phi: G -> Z/d, d = order(sigma),
+    with phi(x0) = 1.  In the coordinates of `G.basis()`, x0 = sum a_i g_i;
+    such a phi exists exactly when d = 1 or some a_k prime to p sits on a
+    generator of order >= d, and then phi(g) = c_k(g) / a_k mod d for the
+    first such k.  Infeasible reports the honest obstruction: order
+    divisibility, or no character sending x0 to a generator of Z/d.
     """
     d = sigma.order()
     ord_x0 = G.element_order(x0)
     if ord_x0 % d != 0:
         raise Infeasible(
             f"order(sigma) = {d} does not divide order(x0) = {ord_x0}")
-    cyc = G.cyclic_subgroup(x0)
-    complement = _find_complement(G, set(cyc))
-    if complement is None:
+    coords = G.coordinates()
+    a = coords[x0]
+    k = next((i for i, (_, order) in enumerate(G.basis())
+              if order >= d and a[i] % G.p), None)
+    if k is None and d > 1:
         raise Infeasible(
-            f"<x0> (order {ord_x0}) admits no complement in the group of "
-            f"order {G.order}; the level cannot be split at this anchor")
-    ident_perm = LevelPermutation.identity(sigma.level, sigma.elements,
-                                           sigma.basepoint)
-    sigma_pows = [ident_perm]
-    for _ in range(ord_x0 - 1):
+            f"no homomorphism from the group of order {G.order} to <sigma> "
+            f"sends x0 (order {ord_x0}) to sigma (order {d}); the level "
+            f"cannot be split at this anchor")
+    k = k or 0  # d = 1: every index gives phi = 0
+    inv = pow(a[k], -1, d)
+    sigma_pows = [LevelPermutation.identity(sigma.level, sigma.elements,
+                                            sigma.basepoint)]
+    for _ in range(d - 1):
         sigma_pows.append(sigma_pows[-1].compose(sigma))
-    table = {}
-    for a in range(ord_x0):
-        for c in complement:
-            g = G.mul(cyc[a], c)
-            table[g] = sigma_pows[a]
-    if len(table) != G.order:
-        raise Infeasible("the product <x0> * complement misses elements")
+    table = {g: sigma_pows[c[k] * inv % d] for g, c in coords.items()}
     level = LocalSubgroupLevel(sigma.level, G, table, x0, sigma)
     checks = level.verify_conditions()
     if not checks["ok"]:
         raise Infeasible(f"construction failed its own conditions: {checks}")
     return level
-
-
-def _find_complement(G: MultiplicativeBallGroup, cyc: set):
-    """A subgroup C with C * <x0> = G and trivial intersection, by closure
-    of up to two generators (enough for the desk-scale groups here)."""
-    target = G.order // len(cyc)
-    if target == 1:
-        return [G.identity()]
-    elems = list(G.elements())
-    for gens in itertools.chain(((e,) for e in elems),
-                                itertools.combinations(elems, 2)):
-        C = _closure(G, gens)
-        if len(C) == target and sum(1 for c in C if c in cyc) == 1:
-            return sorted(C)
-    return None
-
-
-def _closure(G: MultiplicativeBallGroup, gens):
-    out = {G.identity()}
-    frontier = list(gens)
-    while frontier:
-        g = frontier.pop()
-        if g in out:
-            continue
-        out.add(g)
-        for h in list(out):
-            prod = G.mul(g, h)
-            if prod not in out:
-                frontier.append(prod)
-    return out
 
 
 def project_permutation(desc: FieldDescriptor, perm: LevelPermutation,

@@ -138,6 +138,17 @@ class TestCompute:
         assert code == 0
         assert json.loads(out)["feasible"] is True
 
+    @pytest.mark.parametrize("argv", [
+        ("-p", "2", "-u", "4", "oneparam", "eta", "-s", "1", "--sv", "2"),
+        ("-p", "2", "-u", "5", "oneparam", "eta", "-s", "1", "--sv", "2"),
+        ("-p", "2", "oneparam", "eta", "--sv", "8"),
+    ], ids=["F16-order-16", "F32-order-32", "F2-order-128"])
+    def test_oneparam_eta_needs_three_generators(self, capsys, argv):
+        # a complement of <x0> in these groups needs three or more generators
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert json.loads(out)["feasible"] is True
+
     def test_oneparam_obstruction(self, capsys):
         code, out, _ = run_cli(capsys, "-p", "2", "oneparam", "obstruction",
                                "--exp", "2")
@@ -305,6 +316,8 @@ class TestUsageErrors:
         ("oneparam", "lift", "-s", "2", "--levels", "3"),
         ("oneparam", "ball-group", "--sv", "40"),
         ("calculus", "leibniz", "n=1", "f=x", "g=x", "flavor=bogus"),
+        ("oneparam", "eta", "--cycle", "0"),
+        ("oneparam", "eta", "--cycle", "-3"),
     ], ids=["composite-prime", "zero-denominator", "zero-precision",
             "bad-point", "zero-level", "bad-levels", "bad-perm",
             "bad-order", "zero-ball-radius", "critical-inverse",
@@ -317,7 +330,8 @@ class TestUsageErrors:
             "huge-witness-search-level", "huge-level-lift",
             "negative-precision-witness", "chain-zero-denominator",
             "lift-infeasible-level", "zero-precision-multi",
-            "lift-anchor-outside-ball", "huge-ball-group", "bogus-flavor"])
+            "lift-anchor-outside-ball", "huge-ball-group", "bogus-flavor",
+            "zero-eta-cycle", "negative-eta-cycle"])
     def test_bad_input_is_one_line_error(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2

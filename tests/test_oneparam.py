@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import itertools
+from math import prod
+
 import pytest
 
 from localfields.fields import LocalFieldElement, ResidueRing, laurent
 from localfields.oneparam import (DegenerateSample, Incompatible, Infeasible,
                                   LocalSubgroupLevel, additive_obstruction,
                                   ball_group, compose_univariate,
-                                  condition_i_check, eta_construct,
-                                  iterate_map, lift_check,
+                                  condition_i_check, eta_anchor,
+                                  eta_construct, iterate_map, lift_check,
                                   project_permutation, shift_family_check)
 from localfields.poly import MultiPoly
 from localfields.tower import DiffRepr, Domain, LevelPermutation, level_project
@@ -137,6 +140,65 @@ class TestEta:
         sigma = LevelPermutation(1, elements, tuple(images))
         level = eta_construct(sigma, x0, G)
         assert level.verify_conditions()["ok"]
+
+
+def eta_exists(G, x0, d):
+    """Basis-free oracle: eta with eta(x0) = sigma of order d exists iff d
+    divides ord(x0) and x0 has order exactly d modulo G^d = {g^d}."""
+    ord_x0 = G.element_order(x0)
+    if ord_x0 % d:
+        return False
+    dth_powers = {G.power(g, d) for g in G.elements()}
+    return all(a % d == 0 for a in range(ord_x0)
+               if G.power(x0, a) in dth_powers)
+
+
+def small_ball_groups():
+    """Every ball group of order <= 16 with s <= 4 over F_2, F_3, F_5, F_4,
+    F_9, F_8 and F_16."""
+    for p, u in ((2, 1), (3, 1), (5, 1), (2, 2), (3, 2), (2, 3), (2, 4)):
+        for s in range(1, 5):
+            for s_v in itertools.count(s + 1):
+                if (p ** u) ** (s_v - s) > 16:
+                    break
+                yield ball_group(s, s_v, p, u)
+
+
+class TestEtaOracle:
+    def _agrees(self, G, x0, d):
+        sigma = eta_anchor(G, d)[0]
+        assert sigma.order() == d
+        if not eta_exists(G, x0, d):
+            with pytest.raises(Infeasible):
+                eta_construct(sigma, x0, G)
+            return False
+        level = eta_construct(sigma, x0, G)
+        assert level.verify_conditions()["ok"]
+        return True
+
+    def test_every_anchor_of_small_groups(self):
+        # 48 groups; every x0, every p-power d dividing the exponent and the
+        # non-p-power d = p + 1: 1,300 cases, 795 of them feasible
+        cases = feasible = 0
+        for G in small_ball_groups():
+            assert prod(order for _, order in G.basis()) == G.order
+            e = G.exponent()
+            assert e == max(map(G.element_order, G.elements()))
+            ds = [G.p ** m for m in range(e.bit_length())
+                  if e % G.p ** m == 0] + [G.p + 1]
+            for x0 in G.elements():
+                for d in ds:
+                    cases += 1
+                    feasible += self._agrees(G, x0, d)
+        assert (cases, feasible) == (1300, 795)
+
+    @pytest.mark.parametrize("s, s_v, p", [(1, 3, 5), (1, 4, 3), (1, 6, 2)],
+                             ids=["order-25", "order-27", "order-32"])
+    def test_every_anchor_at_d_equal_p(self, s, s_v, p):
+        G = ball_group(s, s_v, p)
+        assert prod(order for _, order in G.basis()) == G.order
+        for x0 in G.elements():
+            self._agrees(G, x0, p)
 
 
 class TestLift:
