@@ -492,10 +492,9 @@ def default_sampler(desc, m: int = 1, span: int = 2,
     return SamplerSpec(xs, dirs, ts)
 
 
-def cnb_norm(f: FnRepr, n: int, sampler: SamplerSpec,
-             flavor: str = "phi") -> Fraction:
-    """max over k <= n and sampled points of the norm of the k-fold quotient
-    (flat or tree flavor).  A lower bound for the true C^n_b norm."""
+def cnb_norm(f: FnRepr, n: int, sampler: SamplerSpec) -> Fraction:
+    """max over k <= n and sampled points of the norm of the k-fold flat
+    quotient.  A lower bound for the true C^n_b norm."""
     best = Fraction(0)
     for x in sampler.xs:
         try:
@@ -509,12 +508,8 @@ def cnb_norm(f: FnRepr, n: int, sampler: SamplerSpec,
                 for ts in itertools.product(sampler.ts, repeat=k):
                     if not symbolic_ok and any(is_zero_scalar(t) for t in ts):
                         continue
-                    pt = PhiPoint(x, dirs, ts)
                     try:
-                        if flavor == "phi":
-                            val = phi_eval(f, pt)
-                        else:
-                            val = upsilon_eval(f, embed_phi_point(pt))
+                        val = phi_eval(f, PhiPoint(x, dirs, ts))
                     except DomainViolation:
                         continue
                     best = max(best, value_norm(val))

@@ -33,10 +33,15 @@ INPUT_ERRORS = (ValueError, ZeroDivisionError, KeyError, OSError,
 
 
 def _env_default(name: str, fallback):
-    raw = os.environ.get(ENV_PREFIX + name.upper().replace("-", "_"))
+    var = ENV_PREFIX + name.upper().replace("-", "_")
+    raw = os.environ.get(var)
     if raw is None:
         return fallback
-    return type(fallback)(raw)
+    try:
+        return type(fallback)(raw)
+    except ValueError:
+        raise UsageError(f"{var}={raw!r} is not a valid "
+                         f"{type(fallback).__name__}") from None
 
 
 def _add_global_options(ap, default):
@@ -451,8 +456,8 @@ def _parse_class(text, N):
 
 
 def main(argv=None) -> int:
-    ns = build_parser().parse_args(argv)
     try:
+        ns = build_parser().parse_args(argv)
         return ns.handler(ns)
     except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -734,14 +734,16 @@ class ProjectionMap:
     def __call__(self, x):
         if self.source is None:
             return x.project(self.target)
-        if self.desc.family == PADIC:
-            return x % self.desc.p ** self.target
-        return tuple(x[: self.target])
+        return project_down(self.desc, x, self.source, self.target)
 
 
 def project_down(desc: FieldDescriptor, a, l: int, k: int):
     """pi^l_k on encoded residue elements."""
-    return ProjectionMap(desc, k, l)(a)
+    if l < k:
+        raise ValueError("source level must be >= target level")
+    if desc.family == PADIC:
+        return a % desc.p ** k
+    return tuple(a[:k])
 
 
 # ---------------------------------------------------------------------------

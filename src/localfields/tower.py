@@ -11,6 +11,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
+from math import lcm
 
 from .calculus import FnRepr, cnb_norm
 from .fields import (DEFAULT_PRECISION, FieldDescriptor, LocalFieldElement,
@@ -386,8 +387,7 @@ class LevelPermutation:
         return sum(len(c) - 1 for c in self.cycles()) % 2
 
     def order(self) -> int:
-        from math import lcm
-        return lcm(*[len(c) for c in self.cycles()]) if self.cycles() else 1
+        return lcm(*map(len, self.cycles()))
 
     def one_line(self) -> str:
         """Serialization: enumeration header then images in that order."""
@@ -719,7 +719,7 @@ class PermThread:
     def check_compatible(self):
         ks = sorted(self.levels)
         for lo, hi in zip(ks, ks[1:]):
-            _check_square(self.desc, self.levels[hi], self.levels[lo])
+            check_square(self.desc, self.levels[hi], self.levels[lo])
         return True
 
     def extend(self, perm: LevelPermutation) -> "PermThread":
@@ -727,7 +727,7 @@ class PermThread:
         if ks and perm.level <= ks[-1]:
             raise Incompatible(f"level {perm.level} does not extend {ks}")
         if ks:
-            _check_square(self.desc, perm, self.levels[ks[-1]])
+            check_square(self.desc, perm, self.levels[ks[-1]])
         new = dict(self.levels)
         new[perm.level] = perm
         return PermThread(self.desc, new)
@@ -754,7 +754,7 @@ class PermThread:
                             for k in levels})
 
 
-def _check_square(desc, hi: LevelPermutation, lo: LevelPermutation):
+def check_square(desc, hi: LevelPermutation, lo: LevelPermutation):
     """pi^l_k o sigma_l = sigma_k o pi^l_k elementwise."""
     l, k = hi.level, lo.level
     lo_map = lo.mapping()

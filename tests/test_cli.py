@@ -263,6 +263,15 @@ class TestRun:
         assert code == 0
         assert out.strip() == "(0 1 2 3 4)"
 
+    @pytest.mark.parametrize("var, raw", [("LOCALFIELDS_SEED", "abc"),
+                                          ("LOCALFIELDS_PRECISION", "1.5")])
+    def test_bad_env_value_is_one_line_error(self, capsys, monkeypatch,
+                                             var, raw):
+        monkeypatch.setenv(var, raw)
+        code, out, err = run_cli(capsys, "run", "--suite", "none")
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {var}=") and err.count("\n") == 1
+
 
 class TestUsageErrors:
     def test_missing_spec(self, capsys):
