@@ -282,8 +282,11 @@ def diff_eval(fn, pt):
 
     fn takes a base vector; the recursion runs over the point's levels.
     Division is by the level scalars only.  This is the operator word made
-    of difference steps only.
+    of difference steps only.  Every quotient passes through here, so the
+    order cap is checked here.
     """
+    if pt.level > MAX_ORDER:
+        raise CalculusError(f"order {pt.level} exceeds the cap {MAX_ORDER}")
     return _apply_word(fn, (DIFF,) * pt.level, pt)
 
 
@@ -303,7 +306,6 @@ class FnRepr:
     backing: object
     codim: int = 1
     domain: object = None        # optional membership predicate on vectors
-    smooth_class: str | None = None
     _sym_cache: dict = field(default_factory=dict, repr=False)
 
     def eval_vec(self, vec):
@@ -330,8 +332,8 @@ class FnRepr:
         return self.eval_vec(vec)
 
     @classmethod
-    def poly(cls, mpoly: MultiPoly, domain=None, smooth_class=None):
-        return cls(mpoly.nvars, mpoly, 1, domain, smooth_class)
+    def poly(cls, mpoly: MultiPoly, domain=None):
+        return cls(mpoly.nvars, mpoly, 1, domain)
 
     def product(self, other: "FnRepr") -> "FnRepr":
         if self.arity != other.arity:
@@ -339,11 +341,11 @@ class FnRepr:
         if isinstance(self.backing, MultiPoly) and \
                 isinstance(other.backing, MultiPoly):
             return FnRepr(self.arity, self.backing * other.backing, 1,
-                          self.domain, None)
+                          self.domain)
         return FnRepr(self.arity,
                       lambda v, a=self, b=other: value_mul(a.eval_vec(v),
                                                            b.eval_vec(v)),
-                      max(self.codim, other.codim), self.domain, None)
+                      max(self.codim, other.codim), self.domain)
 
 
 # ---------------------------------------------------------------------------
@@ -357,8 +359,6 @@ def phi_eval(f: FnRepr, pt: PhiPoint, check_domain: bool = True):
     symbolically (exact division by the scalar variables), which realizes
     the continuous extension.
     """
-    if pt.level > MAX_ORDER:
-        raise CalculusError(f"order {pt.level} exceeds the cap {MAX_ORDER}")
     if check_domain and f.domain is not None:
         for s in pt.partial_sums():
             if not f.domain(s):
@@ -366,31 +366,10 @@ def phi_eval(f: FnRepr, pt: PhiPoint, check_domain: bool = True):
     if any(is_zero_scalar(t) for t in pt.ts):
         if not f.is_polynomial():
             raise ZeroDenominator(
-                "t = 0 needs a polynomial backing; eval_small_t provides the "
-                "surrogate extension for opaque evaluators")
+                "t = 0 needs a polynomial backing; an opaque evaluator has "
+                "no symbolic quotient")
         return _symbolic(f, pt)
     return diff_eval(f.eval_vec, pt)
-
-
-def eval_small_t(f: FnRepr, pt: PhiPoint):
-    """Extension-by-small-t for opaque (non-polynomial) backings.
-
-    Every vanishing scalar is replaced by pi^(N//2), N being the smallest
-    precision among the point's field entries.  The budget arithmetic then
-    charges N//2 digits for each replaced level, so the returned element's
-    own precision IS the documented error bound of the surrogate.
-    """
-    entries = pt.values()
-    descs = [c.desc for c in entries if isinstance(c, LocalFieldElement)]
-    if not descs:
-        raise CalculusError("eval_small_t needs field-valued points")
-    precisions = [int(c.precision) for c in entries
-                  if isinstance(c, LocalFieldElement)
-                  and c.precision != float("inf")]
-    N = min(precisions) if precisions else 2 * MAX_ORDER
-    small = descs[0].uniformizer(N) ** max(N // 2, 1)
-    ts = tuple(small if is_zero_scalar(t) else t for t in pt.ts)
-    return diff_eval(f.eval_vec, PhiPoint(pt.x, pt.vs, ts))
 
 
 def _symbolic(f: FnRepr, pt: PhiPoint):
@@ -427,8 +406,6 @@ def upsilon_eval(f: FnRepr, pt: TreePoint):
     spine scalar t + t' s is never a bare variable, so no exact symbolic
     division exists and the zero denominator stands.
     """
-    if pt.level > MAX_ORDER:
-        raise CalculusError(f"order {pt.level} exceeds the cap {MAX_ORDER}")
     try:
         return diff_eval(f.eval_vec, pt)
     except ZeroDenominator:
@@ -568,9 +545,6 @@ class OperatorWord:
                 out.append(f"P{j}")
         return "".join(reversed(out)) + f".{symbol}"
 
-    def net_depth(self) -> int:
-        return len(self.letters)
-
     def validate(self) -> bool:
         """Every letter must be D, pi or P.  Each letter raises the argument
         level by one, so the net depth before any letter is its index and
@@ -579,11 +553,6 @@ class OperatorWord:
             if letter not in (DIFF, PROJ, SHIFT):
                 raise ShapeMismatch(f"unknown operator letter {letter!r}")
         return True
-
-    def shift_indices(self) -> tuple:
-        """Concrete level indices of the shift letters (innermost first)."""
-        return tuple(j + 1 for j, letter in enumerate(self.letters)
-                     if letter == SHIFT)
 
     def apply(self, fn, pt):
         self.validate()

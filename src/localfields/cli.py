@@ -74,7 +74,10 @@ def build_parser() -> argparse.ArgumentParser:
     mp = sub.add_parser("mahler", parents=[after],
                         help="Mahler-basis computations")
     mp.add_argument("action", choices=["expand", "evaluate", "compose",
-                                       "invert", "tables"])
+                                       "invert", "tables"],
+                    help="invert prints the degree-≤ K series whose "
+                    "composition with f is the identity through coefficient "
+                    "K; not f⁻¹")
     mp.add_argument("args", nargs="*")
     mp.add_argument("--fn", default="")
     mp.add_argument("--series", default="")

@@ -721,22 +721,6 @@ class ResidueRing:
         return reps
 
 
-class ProjectionMap:
-    """pi_k (field to level k) or pi^l_k (level l down to level k <= l)."""
-
-    def __init__(self, desc: FieldDescriptor, target: int, source: int | None = None):
-        if source is not None and source < target:
-            raise ValueError("source level must be >= target level")
-        self.desc = desc
-        self.target = target
-        self.source = source
-
-    def __call__(self, x):
-        if self.source is None:
-            return x.project(self.target)
-        return project_down(self.desc, x, self.source, self.target)
-
-
 def project_down(desc: FieldDescriptor, a, l: int, k: int):
     """pi^l_k on encoded residue elements."""
     if l < k:

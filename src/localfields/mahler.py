@@ -80,7 +80,6 @@ class MahlerSeries:
 
     desc: FieldDescriptor
     coeffs: list  # LocalFieldElement over Q_p
-    claimed_class: Fraction | None = None
 
     def __post_init__(self):
         if self.desc.family != "padic":
@@ -102,17 +101,6 @@ class MahlerSeries:
     def integral(self) -> bool:
         """All coefficients in Z_p: then the series maps Z_p into Z_p."""
         return all(c.is_exact_zero or c.valuation >= 0 for c in self.coeffs)
-
-    def decay_ok(self, t: int, window: int = 8,
-                 threshold: Fraction = Fraction(1)) -> bool:
-        """Windowed proxy for the C^t decay |f_j| j^t -> 0: checks the last
-        `window` coefficients only (the full limit is untestable on a
-        truncated series)."""
-        tail = self.coeffs[-window:]
-        start = len(self.coeffs) - len(tail)
-        worst = max((c.norm() * Fraction(max(j + start, 1)) ** int(t)
-                     for j, c in enumerate(tail)), default=Fraction(0))
-        return worst < threshold
 
     def evaluate(self, x) -> LocalFieldElement:
         """sum f_j C(x,j).  Integer and Fraction arguments are exact; field
@@ -266,23 +254,6 @@ def compose(g: MahlerSeries, f: MahlerSeries, K: int,
                                  for k in range(K + 1)])
 
 
-def compose_omega(g: MahlerSeries, f: MahlerSeries, K: int) -> MahlerSeries:
-    """Composition through the nested-binomial expansion of Delta^k C(f,n)|_0
-    (the optional combinatorial route; must agree with compose())."""
-    desc = f.desc
-    coeffs = []
-    for k in range(K + 1):
-        acc = None
-        for n, gn in enumerate(g.coeffs):
-            if gn.is_exact_zero:
-                continue
-            a = delta_binom_nested(f, n, k)
-            term = gn * a
-            acc = term if acc is None else acc + term
-        coeffs.append(acc if acc is not None else LocalFieldElement.zero(desc))
-    return MahlerSeries(desc, coeffs)
-
-
 def delta_binom_nested(f: MahlerSeries, n: int, k: int) -> LocalFieldElement:
     """Delta^k C(f(x), n)|_0 by the expanded product formula.
 
@@ -387,28 +358,6 @@ def omega(k: int, n: int, ms) -> int:
                 break
         total += prod
     return total
-
-
-def omega_free_double_sum(k: int, m1: int, m2: int) -> int:
-    """LHS of the closed-form identity for the unconstrained double sum:
-    sum_{l1,l2} C(k-l1, m1-l1) C(k-l1-l2, m2-l2) C(k,l1) C(k-l1,l2)."""
-    total = 0
-    for l1 in range(k + 1):
-        for l2 in range(k - l1 + 1):
-            c1 = math.comb(k - l1, m1 - l1) if 0 <= m1 - l1 <= k - l1 else 0
-            c2 = (math.comb(k - l1 - l2, m2 - l2)
-                  if 0 <= m2 - l2 <= k - l1 - l2 else 0)
-            total += c1 * c2 * math.comb(k, l1) * math.comb(k - l1, l2)
-    return total
-
-
-def omega_free_double_sum_closed(k: int, m1: int, m2: int) -> int:
-    """RHS: C(k, m1) * sum_{l1} C(m1, l1) C(k-l1, m2) * 2^m2."""
-    s = 0
-    for l1 in range(m1 + 1):
-        c = math.comb(k - l1, m2) if 0 <= m2 <= k - l1 else 0
-        s += math.comb(m1, l1) * c
-    return math.comb(k, m1) * s * 2 ** m2
 
 
 def omega_generating_marginal(k: int, n: int, m_n: int):
@@ -533,16 +482,6 @@ def monomial_to_mahler(coeffs, tables: StirlingTables):
     return out
 
 
-def mahler_to_monomial(coeffs, tables: StirlingTables):
-    out = [Fraction(0)] * len(coeffs)
-    for j, f in enumerate(coeffs):
-        if f == 0:
-            continue
-        for l in range(len(coeffs)):
-            out[l] += Fraction(f) * tables.S[j][l]
-    return out
-
-
 # ---------------------------------------------------------------------------
 # inversion
 # ---------------------------------------------------------------------------
@@ -593,8 +532,9 @@ def admissible_for_inversion(f: MahlerSeries) -> bool:
 
 def invert(f: MahlerSeries, K: int, verify_precision: int | None = None
            ) -> MahlerSeries:
-    """Compositional inverse coefficients up to K via the truncated linear
-    system  delta_{k,1} = sum_n (f^{-1})_n * Delta^k C(f(x), n)|_0.
+    """The degree-≤ K series g whose composition with f is the identity
+    through coefficient K; not f⁻¹.  Its coefficients solve the truncated
+    linear system  delta_{k,1} = sum_n g_n * Delta^k C(f(x), n)|_0.
 
     The truncation has no a priori error analysis.  The composition round
     trip this function performs (raising SingularSystem when it fails) is a

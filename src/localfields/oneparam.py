@@ -252,8 +252,7 @@ def eta_construct(sigma: LevelPermutation, x0,
             f"cannot be split at this anchor")
     k = k or 0  # d = 1: every index gives phi = 0
     inv = pow(a[k], -1, d)
-    sigma_pows = [LevelPermutation.identity(sigma.level, sigma.elements,
-                                            sigma.basepoint)]
+    sigma_pows = [LevelPermutation.identity(sigma.level, sigma.elements)]
     for _ in range(d - 1):
         sigma_pows.append(sigma_pows[-1].compose(sigma))
     table = {g: sigma_pows[c[k] * inv % d] for g, c in coords.items()}
@@ -267,14 +266,20 @@ def eta_construct(sigma: LevelPermutation, x0,
 def lift_check(levels: list, desc: FieldDescriptor) -> dict:
     """Compatibility squares of consecutive eta levels: projecting
     eta_{v+1}(x) to the coarser permutation level equals eta_v of the
-    projected group element, for every x."""
+    projected group element, for every x.  An eta table holds few distinct
+    permutation objects, so each (fine, coarse) pair is checked once."""
     for lo, hi in zip(levels, levels[1:]):
         if lo.group.s != hi.group.s:
             raise Incompatible("levels use different ball parameters s")
+        checked = set()
         for x in hi.group.elements():
-            down_x = hi.group.project_to(x, lo.group)
+            fine = hi.table[x]
+            coarse = lo.table[hi.group.project_to(x, lo.group)]
+            if (id(fine), id(coarse)) in checked:
+                continue
+            checked.add((id(fine), id(coarse)))
             try:
-                check_square(desc, hi.table[x], lo.table[down_x])
+                check_square(desc, fine, coarse)
             except SquareFails:
                 raise Incompatible(
                     f"square fails at group element {x}") from None
@@ -357,20 +362,6 @@ def additive_obstruction(g: DiffRepr, precision: int = DEFAULT_PRECISION,
         "bound_holds": bound_ok,
         "samples": count,
     }
-
-
-def shift_family_check(desc: FieldDescriptor, c: LocalFieldElement,
-                       ys, samples) -> bool:
-    """Positive control: the additive family x -> x + y c satisfies
-    g^{y1} o g^{y2} = g^{y1+y2} exactly at truncation."""
-    for y1 in ys:
-        for y2 in ys:
-            for x in samples:
-                lhs = (x + y2 * c) + y1 * c
-                rhs = x + (y1 + y2) * c
-                if not lhs.same(rhs):
-                    return False
-    return True
 
 
 # ---------------------------------------------------------------------------

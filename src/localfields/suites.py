@@ -94,7 +94,8 @@ def _record(check_id, module, operation, ok, inputs="", margin="0",
 # 1. Stirling-style base-change identities, exactly over Q, size 32
 # ---------------------------------------------------------------------------
 
-def suite_stirling(cfg: RunConfig, N: int = 32):
+def suite_stirling(cfg: RunConfig):
+    N = 32
     t0 = time.perf_counter()
     tables = mahler.stirling_tables(N)
     ok = tables.check_identities()
@@ -112,8 +113,8 @@ def suite_stirling(cfg: RunConfig, N: int = 32):
 # 2. Mahler round trip on integer polynomials
 # ---------------------------------------------------------------------------
 
-def suite_mahler_roundtrip(cfg: RunConfig, n_polys: int = 200,
-                           n_points: int = 50):
+def suite_mahler_roundtrip(cfg: RunConfig):
+    n_polys, n_points = 200, 50
     rng = random.Random(cfg.seed + 2)
     records = []
     for p in (2, 3, 5):
@@ -148,11 +149,11 @@ def suite_mahler_roundtrip(cfg: RunConfig, n_polys: int = 200,
 # 3. product / multi-factor / chain identities at |t| = 1
 # ---------------------------------------------------------------------------
 
-def _rand_poly(rng, nvars, deg, p, precision, spread=4):
+def _rand_poly(rng, nvars, deg, p, precision):
     terms = {}
     for _ in range(rng.randint(1, 4)):
         exp = tuple(rng.randint(0, deg) for _ in range(nvars))
-        c = rng.randint(-spread, spread)
+        c = rng.randint(-4, 4)
         if c:
             terms[exp] = LocalFieldElement.from_int(padic(p), c, precision)
     if not terms:
@@ -167,30 +168,29 @@ def _unit_int(rng, p):
             return t
 
 
-def _rand_tree(rng, level, desc, precision, dim=1):
+def _rand_tree(rng, level, desc, precision):
     def elem(n):
         return LocalFieldElement.from_int(desc, n, precision)
 
     if level == 0:
-        return TreePoint.leaf(tuple(elem(rng.randint(-4, 4))
-                                    for _ in range(dim)))
-    return TreePoint(lower=_rand_tree(rng, level - 1, desc, precision, dim),
-                     direction=_rand_tree(rng, level - 1, desc, precision, dim),
+        return TreePoint.leaf((elem(rng.randint(-4, 4)),))
+    return TreePoint(lower=_rand_tree(rng, level - 1, desc, precision),
+                     direction=_rand_tree(rng, level - 1, desc, precision),
                      t=elem(_unit_int(rng, desc.p)))
 
 
-def _rand_flat(rng, level, desc, precision, dim=1):
+def _rand_flat(rng, level, desc, precision):
     def elem(n):
         return LocalFieldElement.from_int(desc, n, precision)
 
-    x = tuple(elem(rng.randint(-4, 4)) for _ in range(dim))
-    vs = tuple(tuple(elem(rng.randint(-3, 3)) for _ in range(dim))
-               for _ in range(level))
+    x = (elem(rng.randint(-4, 4)),)
+    vs = tuple((elem(rng.randint(-3, 3)),) for _ in range(level))
     ts = tuple(elem(_unit_int(rng, desc.p)) for _ in range(level))
     return PhiPoint(x, vs, ts)
 
 
-def suite_leibniz_chain(cfg: RunConfig, fixtures: int = 100):
+def suite_leibniz_chain(cfg: RunConfig):
+    fixtures = 100
     rng = random.Random(cfg.seed + 3)
     records = []
     for p in (2, 3):
@@ -258,10 +258,10 @@ def suite_leibniz_chain(cfg: RunConfig, fixtures: int = 100):
     return records
 
 
-def _retry_zero_denominator(check, attempts: int = 7):
-    """Run a check that draws its own point, drawing again while the point
-    is degenerate."""
-    for _ in range(attempts):
+def _retry_zero_denominator(check):
+    """Run a check that draws its own point, drawing again (up to seven
+    draws in all) while the point is degenerate."""
+    for _ in range(7):
         try:
             return check()
         except calculus.ZeroDenominator:
@@ -273,7 +273,8 @@ def _retry_zero_denominator(check, attempts: int = 7):
 # 4. functoriality of level projections
 # ---------------------------------------------------------------------------
 
-def suite_functoriality(cfg: RunConfig, pairs: int = 50):
+def suite_functoriality(cfg: RunConfig):
+    pairs = 50
     rng = random.Random(cfg.seed + 4)
     records = []
     for p in (2, 3):
@@ -294,11 +295,11 @@ def suite_functoriality(cfg: RunConfig, pairs: int = 50):
     return records
 
 
-def _near_identity(rng, desc, precision, deg: int = 4) -> tower.DiffRepr:
+def _near_identity(rng, desc, precision) -> tower.DiffRepr:
     p = desc.p
     one = LocalFieldElement.one(desc, precision)
     terms = {(1,): one}
-    for d in range(deg + 1):
+    for d in range(5):
         c = rng.randint(-2, 2) * p
         if c:
             e = (d,)
@@ -335,7 +336,8 @@ def suite_witness(cfg: RunConfig):
 # 6. inversion round trip
 # ---------------------------------------------------------------------------
 
-def suite_inversion(cfg: RunConfig, per_prime: int = 20, K: int = 8):
+def suite_inversion(cfg: RunConfig):
+    per_prime, K = 20, 8
     rng = random.Random(cfg.seed + 6)
     records = []
     N = cfg.precision  # nominal tolerance anchor; arithmetic runs inflated
@@ -368,8 +370,7 @@ def suite_inversion(cfg: RunConfig, per_prime: int = 20, K: int = 8):
 # 7. additive obstruction
 # ---------------------------------------------------------------------------
 
-def suite_obstruction(cfg: RunConfig, degree_cap: int = 64,
-                      samples: int = 100):
+def suite_obstruction(cfg: RunConfig):
     records = []
     for p in (2, 3):
         desc = laurent(p)
@@ -380,8 +381,7 @@ def suite_obstruction(cfg: RunConfig, degree_cap: int = 64,
             poly = MultiPoly(1, {(1,): one, (l,): theta})
             g = tower.DiffRepr.from_poly(desc, poly, None, 1,
                                          f"x+theta*x^{l}")
-            rep = oneparam.additive_obstruction(g, cfg.precision,
-                                                degree_cap, samples)
+            rep = oneparam.additive_obstruction(g, cfg.precision)
             ok = (not rep["g_p_is_identity"]) and rep["bound_holds"]
             records.append(_record(f"07-obstruction-p{p}-l{l}", "oneparam",
                                    "additive_obstruction", ok,
@@ -486,7 +486,8 @@ def suite_loop_laws(cfg: RunConfig):
 # 10. commutator decomposition
 # ---------------------------------------------------------------------------
 
-def suite_commutators(cfg: RunConfig, per_n: int = 500):
+def suite_commutators(cfg: RunConfig):
+    per_n = 500
     rng = random.Random(cfg.seed + 10)
     records = []
     for n in range(5, 10):
@@ -519,7 +520,8 @@ def suite_commutators(cfg: RunConfig, per_n: int = 500):
 # 11. valuation combinatorics
 # ---------------------------------------------------------------------------
 
-def suite_valuation(cfg: RunConfig, kmax: int = 500):
+def suite_valuation(cfg: RunConfig):
+    kmax = 500
     records = []
     for p in (2, 3, 5, 7):
         t0 = time.perf_counter()
@@ -544,7 +546,8 @@ def suite_valuation(cfg: RunConfig, kmax: int = 500):
     return records
 
 
-def suite_lambda(cfg: RunConfig, nmax: int = 10 ** 4):
+def suite_lambda(cfg: RunConfig):
+    nmax = 10 ** 4
     records = []
     for p in (2, 3, 5, 7):
         t0 = time.perf_counter()

@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import partial
 from math import lcm
 
-from .calculus import FnRepr, cnb_norm
+from .calculus import FnRepr, SamplerSpec, cnb_norm
 from .fields import (DEFAULT_PRECISION, FieldDescriptor, LocalFieldElement,
                      PADIC, ResidueRing, _residue_ops, carmichael_exponent,
                      format_element, project_down)
@@ -207,16 +207,6 @@ class DiffRepr:
         return DiffRepr(self.desc, inv, self.domain, self.bound_s,
                         f"{self.name or 'g'}^-1")
 
-    def check_isometry(self, pairs) -> bool:
-        """|g(x) - g(y)| = |x - y| on the sampled pairs."""
-        for x, y in pairs:
-            lhs = (self.evaluate(x) - self.evaluate(y)).norm()
-            rhs = (x - y).norm()
-            if lhs != rhs:
-                return False
-        return True
-
-
 def _eval_at(poly: MultiPoly, x: LocalFieldElement) -> LocalFieldElement:
     """poly(x); the zero polynomial (p*x over F_p((t)), or the derivative
     of a constant) is the field's exact zero, not eval_cached's int 0."""
@@ -319,26 +309,21 @@ class LevelPermutation:
     level: int
     elements: tuple
     images: tuple
-    basepoint: object = None
 
     def __post_init__(self):
         if len(set(self.images)) != len(self.images) or \
                 set(self.images) != set(self.elements):
             raise NotBijective(f"level-{self.level} table is not a bijection")
-        if self.basepoint is not None and \
-                self(self.basepoint) != self.basepoint:
-            raise ConstraintViolated("basepoint is not fixed")
 
     @classmethod
-    def identity(cls, level, elements, basepoint=None):
+    def identity(cls, level, elements):
         elements = tuple(elements)
-        return cls(level, elements, elements, basepoint)
+        return cls(level, elements, elements)
 
     @classmethod
-    def from_mapping(cls, level, mapping: dict, basepoint=None):
+    def from_mapping(cls, level, mapping: dict):
         elements = tuple(sorted(mapping, key=_code_key))
-        return cls(level, elements, tuple(mapping[e] for e in elements),
-                   basepoint)
+        return cls(level, elements, tuple(mapping[e] for e in elements))
 
     def __call__(self, code):
         return self.images[self.elements.index(code)]
@@ -352,14 +337,12 @@ class LevelPermutation:
             raise TowerError("permutations act on different sets")
         m = self.mapping()
         return LevelPermutation(self.level, self.elements,
-                                tuple(m[i] for i in other.images),
-                                self.basepoint)
+                                tuple(m[i] for i in other.images))
 
     def inverse(self) -> "LevelPermutation":
         inv = {img: e for e, img in zip(self.elements, self.images)}
         return LevelPermutation(self.level, self.elements,
-                                tuple(inv[e] for e in self.elements),
-                                self.basepoint)
+                                tuple(inv[e] for e in self.elements))
 
     def is_identity(self) -> bool:
         return self.elements == self.images
@@ -559,7 +542,7 @@ def witness_flat_polynomial(p: int, k: int, coeff_spec=None,
 # the left-invariant metric
 # ---------------------------------------------------------------------------
 
-def group_metric(f: DiffRepr, g: DiffRepr, sampler=None, order: int = 1,
+def group_metric(f: DiffRepr, g: DiffRepr, order: int = 1,
                  precision: int = DEFAULT_PRECISION) -> Fraction:
     """rho(f, g) = sampled norm of id - f^-1 o g (left invariant by
     construction).  A lower bound of the true metric."""
@@ -571,20 +554,15 @@ def group_metric(f: DiffRepr, g: DiffRepr, sampler=None, order: int = 1,
 
     fn = FnRepr(1, phi, 1,
                 domain=lambda vec: f.domain.contains(vec[0]))
-    if sampler is None:
-        sampler = _domain_sampler(f.domain, precision)
-    return cnb_norm(fn, order, sampler)
-
-
-def _domain_sampler(domain: Domain, precision: int):
+    domain = f.domain
     desc = domain.desc
     span = max(domain.max_radius_level() + 1, 2)
     xs = [(ResidueRing(desc, span).lift(c, precision),)
           for c in domain.residues(span)]
     one = LocalFieldElement.one(desc, precision)
     pi = desc.uniformizer(precision)
-    from .calculus import SamplerSpec
-    return SamplerSpec(xs[:16], [(one,), (-one,)], [one, pi, pi * pi])
+    return cnb_norm(fn, order, SamplerSpec(xs[:16], [(one,), (-one,)],
+                                           [one, pi, pi * pi]))
 
 
 # ---------------------------------------------------------------------------

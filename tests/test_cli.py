@@ -327,6 +327,7 @@ class TestUsageErrors:
         ("calculus", "leibniz", "n=1", "f=x", "g=x", "flavor=bogus"),
         ("oneparam", "eta", "--cycle", "0"),
         ("oneparam", "eta", "--cycle", "-3"),
+        ("-p", "2", "calculus", "leibniz", "n=7", "f=x", "g=x"),
     ], ids=["composite-prime", "zero-denominator", "zero-precision",
             "bad-point", "zero-level", "bad-levels", "bad-perm",
             "bad-order", "zero-ball-radius", "critical-inverse",
@@ -340,7 +341,7 @@ class TestUsageErrors:
             "negative-precision-witness", "chain-zero-denominator",
             "lift-infeasible-level", "zero-precision-multi",
             "lift-anchor-outside-ball", "huge-ball-group", "bogus-flavor",
-            "zero-eta-cycle", "negative-eta-cycle"])
+            "zero-eta-cycle", "negative-eta-cycle", "order-above-cap"])
     def test_bad_input_is_one_line_error(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
