@@ -16,7 +16,7 @@ from math import lcm
 from .calculus import FnRepr, SamplerSpec, cnb_norm
 from .fields import (DEFAULT_PRECISION, FieldDescriptor, LocalFieldElement,
                      PADIC, ResidueRing, _residue_ops, carmichael_exponent,
-                     format_element, project_down)
+                     format_element, padic, project_down)
 from .poly import MultiPoly
 
 MAX_LEVEL_CLASSES = 10 ** 6  # largest residue ring a level enumerates
@@ -84,12 +84,10 @@ class Domain:
 
     def __post_init__(self):
         # disjointness: distinct center codes at the finest common level
-        reps = []
-        for b in self.balls:
-            for c in reps:
+        for i, b in enumerate(self.balls):
+            for c in self.balls[:i]:
                 if _codes_overlap(self.desc, b, c):
                     raise ConstraintViolated(f"balls {b} and {c} overlap")
-            reps.append(b)
 
     @classmethod
     def unit_ball(cls, desc: FieldDescriptor) -> "Domain":
@@ -118,14 +116,10 @@ class Domain:
             raise LevelTooLarge(
                 f"level {k} has {self.desc.residue_size}^{k} residue classes,"
                 f" more than the {MAX_LEVEL_CLASSES} a level enumerates")
-        ring = ResidueRing(self.desc, k)
-        out = set()
-        for b in self.balls:
-            for code in ring.elements():
-                if b.r == 0 or \
-                        project_down(self.desc, code, k, b.r) == b.center_code:
-                    out.add(code)
-        return sorted(out, key=_code_key)
+        return sorted((code for code in ResidueRing(self.desc, k).elements()
+                       if any(b.r == 0 or project_down(self.desc, code, k, b.r)
+                              == b.center_code for b in self.balls)),
+                      key=_code_key)
 
 
 def _code_key(code):
@@ -133,17 +127,17 @@ def _code_key(code):
 
 
 def _codes_overlap(desc, b1: Ball, b2: Ball) -> bool:
-    r = min(b1.r, b2.r)
-    c1 = project_down(desc, b1.center_code, b1.r, r) if r else None
-    c2 = project_down(desc, b2.center_code, b2.r, r) if r else None
-    if r == 0:
-        return True  # one of them is the whole unit ball
-    return c1 == c2
+    r = min(b1.r, b2.r)  # r = 0: one of them is the whole unit ball
+    return r == 0 or (project_down(desc, b1.center_code, b1.r, r)
+                      == project_down(desc, b2.center_code, b2.r, r))
 
 
 # ---------------------------------------------------------------------------
 # evaluable self-maps
 # ---------------------------------------------------------------------------
+
+UNCERTIFIED, INTEGRAL, ISOMETRY = range(3)  # DiffRepr.certificate, ordered
+
 
 @dataclass
 class DiffRepr:
@@ -152,6 +146,8 @@ class DiffRepr:
     backing: univariate MultiPoly with field coefficients, a Mahler series,
     or an opaque callable on elements.  bound_s is the claimed s with
     ||g - id|| <= |pi|^s (metadata; the isometry regime needs s >= 1).
+    certificate is read off a polynomial backing's coefficients, never off
+    bound_s, and propagated by compose and inverse.
     """
 
     desc: FieldDescriptor
@@ -159,10 +155,12 @@ class DiffRepr:
     domain: Domain = None
     bound_s: int | None = None
     name: str = ""
+    certificate: int = field(init=False)
 
     def __post_init__(self):
         if self.domain is None:
             self.domain = Domain.unit_ball(self.desc)
+        self.certificate = _certificate(self.desc, self.backing)
 
     def evaluate(self, x: LocalFieldElement) -> LocalFieldElement:
         b = self.backing
@@ -186,10 +184,12 @@ class DiffRepr:
         return cls(desc, poly, domain, bound_s, name)
 
     def compose(self, other: "DiffRepr") -> "DiffRepr":
-        return DiffRepr(self.desc,
-                        lambda x, f=self, g=other: f.evaluate(g.evaluate(x)),
-                        other.domain, None,
-                        f"({self.name or 'f'} o {other.name or 'g'})")
+        out = DiffRepr(self.desc,
+                       lambda x, f=self, g=other: f.evaluate(g.evaluate(x)),
+                       other.domain, None,
+                       f"({self.name or 'f'} o {other.name or 'g'})")
+        out.certificate = min(self.certificate, other.certificate)
+        return out
 
     def inverse(self) -> "DiffRepr":
         """g^-1, solving g(x) = y from x = y.
@@ -198,14 +198,31 @@ class DiffRepr:
         g'(x) is a unit (`_newton_inverse`, which keeps its prepared
         representatives); Mahler and opaque backings, which have no
         derivative, by the fixed point x = y - h(x) with h = g - id, valid
-        in the contraction regime ||g - id|| <= |pi|.
+        in the contraction regime ||g - id|| <= |pi|.  The inverse of an
+        isometry of O is one; no weaker certificate survives inversion.
         """
         if isinstance(self.backing, MultiPoly):
             inv = _newton_inverse(self.backing)
         else:
             inv = partial(_fixed_point_solve, self)
-        return DiffRepr(self.desc, inv, self.domain, self.bound_s,
-                        f"{self.name or 'g'}^-1")
+        out = DiffRepr(self.desc, inv, self.domain, self.bound_s,
+                       f"{self.name or 'g'}^-1")
+        if self.certificate == ISOMETRY:
+            out.certificate = ISOMETRY
+        return out
+
+
+def _certificate(desc: FieldDescriptor, backing) -> int:
+    """INTEGRAL for a univariate polynomial over O, which is 1-Lipschitz on
+    O; ISOMETRY when moreover g - x is in pi*O[x]; else UNCERTIFIED."""
+    if not (isinstance(backing, MultiPoly) and backing.nvars == 1 and all(
+            c.__class__ is LocalFieldElement and c.desc == desc
+            and c.valuation >= 0 for c in backing.terms.values())):
+        return UNCERTIFIED
+    shift = backing - MultiPoly.variable(1, 0, LocalFieldElement.one(desc))
+    near = all(c.valuation >= 1 for c in shift.terms.values())
+    return ISOMETRY if near else INTEGRAL
+
 
 def _eval_at(poly: MultiPoly, x: LocalFieldElement) -> LocalFieldElement:
     """poly(x); the zero polynomial (p*x over F_p((t)), or the derivative
@@ -336,31 +353,26 @@ class LevelPermutation:
         if self.elements != other.elements:
             raise TowerError("permutations act on different sets")
         m = self.mapping()
-        return LevelPermutation(self.level, self.elements,
-                                tuple(m[i] for i in other.images))
+        return _bijection(self.level, self.elements,
+                          tuple(map(m.__getitem__, other.images)))
 
     def inverse(self) -> "LevelPermutation":
-        inv = {img: e for e, img in zip(self.elements, self.images)}
-        return LevelPermutation(self.level, self.elements,
-                                tuple(inv[e] for e in self.elements))
+        inv = dict(zip(self.images, self.elements))
+        return _bijection(self.level, self.elements,
+                          tuple(map(inv.__getitem__, self.elements)))
 
     def is_identity(self) -> bool:
         return self.elements == self.images
 
     def cycles(self):
-        index = {e: i for i, e in enumerate(self.elements)}
-        seen = set()
-        out = []
+        step, seen, out = self.mapping(), set(), []
         for start in self.elements:
             if start in seen:
                 continue
             cyc = [start]
-            seen.add(start)
-            nxt = self.images[index[start]]
-            while nxt != start:
-                cyc.append(nxt)
-                seen.add(nxt)
-                nxt = self.images[index[nxt]]
+            while step[cyc[-1]] != start:
+                cyc.append(step[cyc[-1]])
+            seen.update(cyc)
             if len(cyc) > 1:
                 out.append(tuple(cyc))
         return out
@@ -386,10 +398,15 @@ class LevelPermutation:
                        for c in cyc)
 
 
+def _bijection(level, elements, images) -> LevelPermutation:
+    """A table that is a bijection by construction, with no re-check."""
+    perm = object.__new__(LevelPermutation)
+    perm.__dict__.update(level=level, elements=elements, images=images)
+    return perm
+
+
 def _code_str(code):
-    if isinstance(code, tuple):
-        return "".join(str(c) for c in code)
-    return str(code)
+    return "".join(map(str, code)) if isinstance(code, tuple) else str(code)
 
 
 def parse_one_line(text: str) -> LevelPermutation:
@@ -399,37 +416,31 @@ def parse_one_line(text: str) -> LevelPermutation:
     level = int(head.split("level=")[1].split()[0])
     elems = head.split("elements:")[1].split()
     imgs = body.split()
-
-    def decode(tok):
-        return int(tok)  # padic codes only in the serialized form
-
-    return LevelPermutation(level, tuple(decode(t) for t in elems),
-                            tuple(decode(t) for t in imgs))
+    # padic codes only in the serialized form
+    return LevelPermutation(level, tuple(map(int, elems)),
+                            tuple(map(int, imgs)))
 
 
 # ---------------------------------------------------------------------------
 # level projection and functoriality
 # ---------------------------------------------------------------------------
 
-def level_project(g: DiffRepr, k: int, reps_per_class: int = 2,
+def level_project(g: DiffRepr, k: int,
                   precision: int = DEFAULT_PRECISION) -> LevelPermutation:
     """The permutation induced by g on the level-k residues of its domain.
 
-    Well-definedness (independence of the representative) is checked with
-    reps_per_class representatives per class, exhaustively when the ring is
-    at most 243 elements and reps_per_class is None.
+    A certified g (`DiffRepr.certificate`) is 1-Lipschitz on O (an integral
+    polynomial, a composite of such, or the inverse of an isometry), so
+    g(x) mod pi^k depends on x mod pi^k alone: one representative per class,
+    known mod pi^k, gives the table.  An uncertified g is sampled: two
+    representatives per class at `precision` must land in one class.
     """
     desc = g.desc
     codes = g.domain.residues(k)
     ring = ResidueRing(desc, k)
-    if reps_per_class is None:
-        # exhaustive regime: cover every class two levels deeper
-        if desc.residue_cardinality(k) <= 243:
-            count = desc.residue_size ** 2
-        else:
-            count = 2
-    else:
-        count = reps_per_class
+    count = 2
+    if g.certificate:
+        count, precision = 1, min(precision, k)
     mapping = {}
     for code in codes:
         images = set()
@@ -444,8 +455,7 @@ def level_project(g: DiffRepr, k: int, reps_per_class: int = 2,
                 f"class {code} maps to several level-{k} classes: "
                 f"{sorted(images, key=_code_key)}")
         mapping[code] = images.pop()
-    perm = LevelPermutation.from_mapping(k, mapping)  # bijectivity enforced
-    return perm
+    return LevelPermutation.from_mapping(k, mapping)  # bijectivity enforced
 
 
 def functoriality_check(f: DiffRepr, g: DiffRepr, k: int,
@@ -456,11 +466,10 @@ def functoriality_check(f: DiffRepr, g: DiffRepr, k: int,
     fg_k = level_project(f.compose(g), k, precision=precision)
     composed = fk.compose(gk)
     ginv_k = level_project(g.inverse(), k, precision=precision)
-    inv_ok = ginv_k.images == gk.inverse().images
     return {
         "level": k,
         "composition_ok": fg_k.images == composed.images,
-        "inverse_ok": inv_ok,
+        "inverse_ok": ginv_k.images == gk.inverse().images,
         "f_k": fk,
         "g_k": gk,
         "fg_k": fg_k,
@@ -483,7 +492,6 @@ def witness_flat_polynomial(p: int, k: int, coeff_spec=None,
     coeff_spec: list of (a_i, l_i) with integer a_i; defaults to
     [(p, 1), (-p, 2)].
     """
-    from .fields import padic
     desc = padic(p)
     E = carmichael_exponent(p, k)
     if coeff_spec is None:
@@ -503,15 +511,14 @@ def witness_flat_polynomial(p: int, k: int, coeff_spec=None,
         e = (E * l,)
         coeff = LocalFieldElement.from_int(desc, a, precision)
         terms[e] = terms[e] + coeff if e in terms else coeff
-    poly = MultiPoly(1, terms)
-    f = DiffRepr.from_poly(desc, poly, Domain.units(desc), 1,
+    f = DiffRepr.from_poly(desc, MultiPoly(1, terms), Domain.units(desc), 1,
                            f"flat-witness(p={p},k={k})")
     # the search level's classes are listed first, so that a level too
     # large to enumerate is rejected before the level-k table is built
     search = min(k + 3, precision - 1)
     codes = f.domain.residues(search)
-    # exhaustive level-k identity check over the units
-    table = level_project(f, k, reps_per_class=None, precision=precision)
+    # level-k identity check over the units; f is certified (an isometry)
+    table = level_project(f, k, precision=precision)
     identity_ok = table.is_identity()
     # a point where f visibly moves: search unit lifts at higher precision
     witness_point = None
@@ -648,21 +655,13 @@ def commutator_decompose_even(perm: LevelPermutation):
             c = common.pop()
             a = (set(t1) - {c}).pop()
             b = (set(t2) - {c}).pop()
-            # (c a)(c b) applied right-to-left sends b->c->?; direct check:
-            # x=b: t2: b->c, t1: c->a  => b->a ; x=a: ->a->c ; x=c: ->b
-            three_cycles.append((a, c, b))
+            three_cycles.append((a, c, b))  # (c a)(c b) = (a c b)
         else:
-            a, b = t1
-            c, d = t2
-            # (a b)(c d) = (a b)(b c) (b c)(c d) = (a b c)? see tests;
-            # verified by multiplication below in all cases
-            three_cycles.append((a, b, c))
-            three_cycles.append((b, c, d))
-    pairs = []
-    for (a, b, c) in three_cycles:
-        x = _transposition(perm, (a, b))
-        y = _transposition(perm, (a, c))
-        pairs.append((x, y))
+            (a, b), (c, d) = t1, t2
+            # (a b)(c d) = (a b c)(b c d); every case is verified below
+            three_cycles += [(a, b, c), (b, c, d)]
+    pairs = [(_transposition(perm, (a, b)), _transposition(perm, (a, c)))
+             for a, b, c in three_cycles]
     if product_of_commutators(pairs, perm).images != perm.images:
         raise TowerError("commutator product does not reproduce the input")
     return pairs

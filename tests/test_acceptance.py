@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import time
 
-import pytest
-
 from localfields.suites import SUITES, RunConfig
 
 CFG = RunConfig(seed=20260809)

@@ -287,6 +287,12 @@ class TestUsageErrors:
                                "--perm", "1 0 2 3 4")
         assert code == 2
 
+    def test_non_bijective_perm_commutators(self, capsys):
+        code, _, err = run_cli(capsys, "tower", "commutators",
+                               "--perm", "0 0 1 2 3")
+        assert code == 2
+        assert err == "error: level-1 table is not a bijection\n"
+
     @pytest.mark.parametrize("argv", [
         ("-p", "4", "tower", "project", "x+p"),
         ("tower", "project", "x+1/0"),

@@ -14,7 +14,7 @@ from localfields.oneparam import (DegenerateSample, Incompatible, Infeasible,
                                   condition_i_check, eta_anchor,
                                   eta_construct, iterate_map, lift_check)
 from localfields.poly import MultiPoly
-from localfields.tower import DiffRepr, Domain, LevelPermutation, level_project
+from localfields.tower import DiffRepr, LevelPermutation, level_project
 
 L2 = laurent(2)
 L3 = laurent(3)

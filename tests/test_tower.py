@@ -10,13 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from localfields.fields import (LAURENT, LocalFieldElement, ResidueRing,
-                                format_element, laurent, padic)
+from localfields.fields import (LAURENT, FieldError, LocalFieldElement,
+                                ResidueRing, format_element, laurent, padic)
+from localfields.mahler import MahlerSeries
 from localfields.poly import MultiPoly
-from localfields.tower import (Ball, BallNotPreserved, ConstraintViolated,
+from localfields.tower import (INTEGRAL, ISOMETRY, UNCERTIFIED, Ball,
+                               BallNotPreserved, ConstraintViolated,
                                DiffRepr, Domain, Incompatible,
                                LevelPermutation, NotBijective, NotWellDefined,
-                               OddParity, PermThread, TooSmall,
+                               OddParity, PermThread, TooSmall, TowerError,
                                ball_decompose, commutator_decompose_even,
                                conjugation_thread, functoriality_check,
                                group_metric, level_project, parse_one_line,
@@ -539,3 +541,191 @@ class TestConjugation:
         h.levels[2] = LevelPermutation(2, lv2.elements, tuple(imgs))
         with pytest.raises(Incompatible):
             conjugation_thread(h, poly_map(D3, [3, 1]), 2)
+
+
+# ---------------------------------------------------------------------------
+# certified level tables
+# ---------------------------------------------------------------------------
+
+CERTIFIED_FIELDS = (padic(2), padic(3), laurent(2), laurent(2, 2))
+
+
+def coefficient(desc, val, digits, N=32):
+    """pi^val * sum_i digits[i] pi^i, known mod pi^N."""
+    if desc.family == LAURENT:
+        return LocalFieldElement.from_laurent_coeffs(desc, val, digits, N)
+    n = sum(d * desc.p ** i for i, d in enumerate(digits))
+    return LocalFieldElement.from_int(desc, desc.p ** val * n, N)
+
+
+@st.composite
+def integral_poly(draw, desc, near):
+    """A polynomial of degree <= 3 over O; x + pi*O[x] when near."""
+    least = 1 if near else 0
+    digits = st.lists(st.integers(0, desc.residue_size - 1), min_size=1,
+                      max_size=3)
+    terms = {(d,): coefficient(desc, draw(st.integers(least, least + 1)),
+                               draw(digits))
+             for d in draw(st.sets(st.integers(0, 3), min_size=1))}
+    if near:
+        one = LocalFieldElement.one(desc)
+        terms[(1,)] = one + terms.get((1,), LocalFieldElement.zero(desc))
+    return DiffRepr.from_poly(desc, MultiPoly(1, terms))
+
+
+@st.composite
+def certified_map(draw):
+    desc = draw(st.sampled_from(CERTIFIED_FIELDS))
+    kind = draw(st.sampled_from(("integral", "isometry", "composite",
+                                 "inverse", "composite inverse")))
+    if kind in ("integral", "isometry"):
+        g = draw(integral_poly(desc, kind == "isometry"))
+    elif kind == "composite":
+        g = draw(integral_poly(desc, draw(st.booleans()))).compose(
+            draw(integral_poly(desc, draw(st.booleans()))))
+    elif kind == "inverse":
+        g = draw(integral_poly(desc, True)).inverse()
+    else:
+        g = draw(integral_poly(desc, True)).compose(
+            draw(integral_poly(desc, True))).inverse()
+    return g, draw(st.integers(1, 3))
+
+
+def sampled_mapping(g, k):
+    """g's level-k images by exhaustive sampling: q^2 representatives per
+    class at precision 32, which must all land in one class."""
+    ring = ResidueRing(g.desc, k)
+    q = g.desc.residue_size
+    out = {}
+    for code in g.domain.residues(k):
+        images = {g(x).project(k)
+                  for x in ring.representatives(code, q * q, 32)}
+        assert len(images) == 1, (code, images)
+        out[code] = images.pop()
+    return out
+
+
+class TestCertifiedTables:
+    # 60 examples: each draws one of Q_2, Q_3, F_2((t)), F_4((t)), a level
+    # k in 1..3 and an integral or near-identity polynomial of degree <= 3,
+    # a composite of two, the inverse of a near-identity one or of a
+    # composite of two
+    @settings(max_examples=60, deadline=None)
+    @given(certified_map())
+    def test_matches_exhaustive_sampling(self, case):
+        g, k = case
+        assert g.certificate != UNCERTIFIED
+        opaque = DiffRepr(g.desc, lambda x: g(x))
+        assert opaque.certificate == UNCERTIFIED
+        sampled = sampled_mapping(opaque, k)
+        try:
+            table = level_project(g, k)
+        except NotBijective:
+            # an integral polynomial need not permute the classes
+            assert g.certificate == INTEGRAL
+            assert set(sampled.values()) != set(sampled)
+            with pytest.raises(NotBijective):
+                level_project(opaque, k)
+            return
+        assert table.mapping() == sampled
+        assert level_project(opaque, k) == table
+
+    def test_one_representative_per_class_known_mod_pi_k(self, monkeypatch):
+        precisions = []
+        evaluate = DiffRepr.evaluate
+
+        def spy(self, x):
+            precisions.append(x.precision)
+            return evaluate(self, x)
+
+        monkeypatch.setattr(DiffRepr, "evaluate", spy)
+        level_project(poly_map(D3, [1, 1]), 2)
+        # class 0 of Z_3 lifts to the exact zero
+        assert precisions == [float("inf")] + [2] * 8
+        precisions.clear()
+        level_project(DiffRepr(D3, lambda x: x + 1), 2)
+        assert precisions == [float("inf")] + [32] * 17
+
+
+class TestCertificate:
+    def test_read_off_the_coefficients(self):
+        assert DiffRepr.identity(D3).certificate == ISOMETRY
+        assert poly_map(D3, [3, 1, 6]).certificate == ISOMETRY
+        assert poly_map(D3, [3, 4]).certificate == ISOMETRY
+        assert poly_map(D3, [1, 1]).certificate == INTEGRAL
+        assert poly_map(D3, [0, 2]).certificate == INTEGRAL
+        assert poly_map(D3, [0, 0, 3]).certificate == INTEGRAL
+        assert poly_map(D3, []).certificate == INTEGRAL
+
+    def test_bound_s_is_not_read(self):
+        cube = MultiPoly(1, {(3,): e(D3, 1)})
+        assert DiffRepr.from_poly(D3, cube, None, 5).certificate == INTEGRAL
+        assert DiffRepr(D3, lambda x: x, None, 5).certificate == UNCERTIFIED
+
+    def test_other_backings_are_uncertified(self):
+        one = e(D3, 1)
+        for desc, backing in (
+                (D3, MahlerSeries.from_ints(3, [0, 1], 32)),
+                (D3, MultiPoly(1, {(1,): Fraction(1)})),
+                (D3, MultiPoly(1, {(1,): e(D2, 1)})),
+                (D3, MultiPoly(2, {(1, 0): one})),
+                (D3, MultiPoly(1, {
+                    (1,): one,
+                    (2,): LocalFieldElement.apparent_zero(D3, -1)}))):
+            assert DiffRepr(desc, backing).certificate == UNCERTIFIED
+
+    def test_not_a_constructor_argument(self):
+        with pytest.raises(TypeError):
+            DiffRepr(D3, lambda x: x, certificate=ISOMETRY)
+
+    def test_compose_and_inverse_propagate(self):
+        maps = {ISOMETRY: poly_map(D3, [3, 1]),
+                INTEGRAL: poly_map(D3, [1, 1]),
+                UNCERTIFIED: DiffRepr(D3, lambda x: x)}
+        for a, f in maps.items():
+            for b, g in maps.items():
+                assert f.compose(g).certificate == min(a, b)
+        iso = maps[ISOMETRY]
+        assert iso.inverse().certificate == ISOMETRY
+        assert iso.inverse().inverse().certificate == ISOMETRY
+        assert iso.compose(iso).inverse().certificate == ISOMETRY
+        assert maps[INTEGRAL].inverse().certificate == UNCERTIFIED
+        assert maps[UNCERTIFIED].inverse().certificate == UNCERTIFIED
+        assert iso.compose(maps[INTEGRAL]).inverse().certificate == \
+            UNCERTIFIED
+
+    def test_negative_valuation_is_sampled_and_raises_as_before(self):
+        # x + x^2/3: the table is sampled, and projecting an image of
+        # negative valuation raises FieldError itself, as it always has
+        for k in (1, 2):
+            g = DiffRepr.from_poly(D3, MultiPoly(1, {
+                (1,): e(D3, 1),
+                (2,): LocalFieldElement.from_fraction(D3, Fraction(1, 3))}))
+            assert g.certificate == UNCERTIFIED
+            with pytest.raises(FieldError) as info:
+                level_project(g, k)
+            assert info.type is FieldError
+
+
+class TestTrustedPermutations:
+    def test_compose_and_inverse_equal_checked_tables(self):
+        a = level_project(poly_map(D3, [1, 1]), 2)
+        b = level_project(poly_map(D3, [3, 1, 3]), 2)
+        ab = a.compose(b)
+        assert ab == LevelPermutation(2, a.elements, ab.images)
+        assert ab.images == tuple(a(b(x)) for x in a.elements)
+        assert a.inverse() == LevelPermutation(2, a.elements,
+                                               a.inverse().images)
+        assert a.inverse().compose(a).is_identity()
+        with pytest.raises(TowerError):
+            a.compose(LevelPermutation.identity(1, (0, 1, 2)))
+
+    def test_tables_from_outside_are_checked(self):
+        with pytest.raises(NotBijective):
+            LevelPermutation(1, (0, 1, 2), (0, 0, 1))
+        with pytest.raises(NotBijective):
+            LevelPermutation.from_mapping(1, {0: 1, 1: 1})
+        with pytest.raises(NotBijective):
+            parse_one_line("# level=1 elements: 0 1 2\n0 0 1")
+        with pytest.raises(NotBijective):
+            LevelPermutation.identity(1, (0, 0))
